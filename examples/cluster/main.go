@@ -1,12 +1,13 @@
-// Cluster: run Algorithm A as a *real* decentralized protocol — one
-// goroutine per node, each driven by its private Poisson clock,
-// coordinating through explicit messages (try-lock exchanges with leases
-// and grant retransmission) instead of a shared-memory simulator.
+// Cluster: run Algorithm A as a *real* decentralized protocol — every node
+// driven by its private Poisson clock, coordinating through explicit
+// messages (lock/propose/commit exchanges with proposal retransmission)
+// instead of a shared-memory simulator. The nodes are multiplexed over a
+// few shard event loops, each with its own timer wheel and mailbox.
 //
-// By default the transport is in-memory channels; pass -tcp to carry every
-// protocol message over loopback TCP sockets. Pass -drop 0.05 to inject
-// 5% i.i.d. message loss and watch the protocol degrade gracefully
-// (aborted exchanges are skipped ticks, not corruption).
+// By default the shards talk through in-memory channels; pass -tcp to
+// carry every protocol message over loopback TCP sockets. Pass -drop 0.05
+// to inject 5% i.i.d. message loss and watch the protocol degrade
+// gracefully (aborted exchanges are skipped ticks, not corruption).
 package main
 
 import (
@@ -41,14 +42,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One transport address per shard: the shard owning a message's
+	// destination node drains that address and dispatches on the node.
+	const shards = 4
 	var tr sparsecut.Transport
 	if *useTCP {
-		tcp, err := sparsecut.NewTCPTransport(g.NumNodes())
+		tcp, err := sparsecut.NewTCPTransport(shards)
 		if err != nil {
 			log.Fatal(err)
 		}
 		port, _ := tcp.Port(0)
-		fmt.Printf("transport: loopback TCP (%d listeners, node 0 on port %d)\n", g.NumNodes(), port)
+		fmt.Printf("transport: loopback TCP (%d listeners, shard 0 on port %d)\n", shards, port)
 		tr = tcp
 	} else {
 		buf := 4 * g.NumNodes()
@@ -64,10 +68,13 @@ func main() {
 	}
 
 	const scale = 8 * time.Millisecond
-	cl, err := sparsecut.NewCluster(g, x0, rule, sparsecut.ClusterConfig{
-		TimeScale: scale,
-		Seed:      *seed,
-		Transport: tr,
+	rt, err := sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
+		ClusterConfig: sparsecut.ClusterConfig{
+			TimeScale: scale,
+			Seed:      *seed,
+			Transport: tr,
+		},
+		Shards: shards,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,14 +82,14 @@ func main() {
 
 	fmt.Printf("graph:     %s\n", g)
 	fmt.Printf("rule:      %s\n", rule.Name())
-	fmt.Printf("running:   %d node goroutines (private Poisson clocks) for t=%g (~%v wall)...\n",
-		g.NumNodes(), *duration, time.Duration(*duration*float64(scale)).Round(time.Millisecond))
+	fmt.Printf("running:   %d nodes (private Poisson clocks) on %d shard loops for t=%g (~%v wall)...\n",
+		g.NumNodes(), rt.Shards(), *duration, time.Duration(*duration*float64(scale)).Round(time.Millisecond))
 	start := time.Now()
-	if err := cl.Run(context.Background(), *duration); err != nil {
+	if err := rt.Run(context.Background(), *duration); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("exchanges: %d committed, %d aborted\n", cl.Exchanges(), cl.Aborted())
-	fmt.Printf("mean:      %.6g (started at 0)\n", cl.Mean())
-	fmt.Printf("variance:  %.6g (started at 1)\n", cl.Variance())
+	fmt.Printf("exchanges: %d committed, %d aborted\n", rt.Exchanges(), rt.Aborted())
+	fmt.Printf("mean:      %.6g (started at 0)\n", rt.Mean())
+	fmt.Printf("variance:  %.6g (started at 1)\n", rt.Variance())
 }

@@ -3,7 +3,7 @@
 //
 // The checker drives the same pure state machine (dist.Machine) the live
 // runtime runs — the lockstep divergence test in internal/dist proves the
-// goroutine actor adds no hidden protocol state — but replaces every source
+// shard event loops add no hidden protocol state — but replaces every source
 // of runtime nondeterminism with an explicit, explorable action:
 //
 //   - the transport becomes an ordered multiset of in-flight messages, and

@@ -10,13 +10,13 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// TestInstrumentedLossyRun is the telemetry acceptance check: a cluster on
+// TestInstrumentedLossyRun is the telemetry acceptance check: a runtime on
 // a lossy, delayed transport with ClusterConfig.Metrics set must export
 // nonzero exchange, abort, message and transport-loss counters, a
 // populated latency histogram, and convergence gauges consistent with the
-// cluster's own accessors — while preserving the sum invariant exactly as
+// runtime's own accessors — while preserving the sum invariant exactly as
 // the uninstrumented runtime does. Run under -race this also proves the
-// node goroutines and the snapshot reader do not race on the telemetry
+// shard loops and the snapshot reader do not race on the telemetry
 // plane.
 func TestInstrumentedLossyRun(t *testing.T) {
 	g, part, x0 := dumbbellCase(t)
@@ -33,11 +33,11 @@ func TestInstrumentedLossyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 8 * time.Millisecond, Seed: 1, Transport: tr,
 		LockTimeout: 20 * time.Millisecond,
 		Metrics:     reg,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestInstrumentedLossyRun(t *testing.T) {
 	// the transport has exercised both loss modes.
 	var runErr error
 	for leg := 0; leg < 10; leg++ {
-		if runErr = cl.Run(context.Background(), 10); runErr != nil {
+		if runErr = rt.Run(context.Background(), 10); runErr != nil {
 			break
 		}
-		if cl.Exchanges() > 0 && tr.Dropped() > 0 && delay.Delayed() > 0 {
+		if rt.Exchanges() > 0 && tr.Dropped() > 0 && delay.Delayed() > 0 {
 			break
 		}
 	}
@@ -90,10 +90,10 @@ func TestInstrumentedLossyRun(t *testing.T) {
 			t.Errorf("counter %q is zero after a lossy run (snapshot: %+v)", name, snap.Counters)
 		}
 	}
-	if got, want := snap.Counters["dist.exchange.committed"], cl.Exchanges(); got != want {
+	if got, want := snap.Counters["dist.exchange.committed"], rt.Exchanges(); got != want {
 		t.Errorf("committed counter %d != Exchanges() %d", got, want)
 	}
-	if got, want := snap.Counters["dist.exchange.aborted"], cl.Aborted(); got != want {
+	if got, want := snap.Counters["dist.exchange.aborted"], rt.Aborted(); got != want {
 		t.Errorf("aborted counter %d != Aborted() %d", got, want)
 	}
 	// Initiations split exactly into commits and aborts at quiescence.
@@ -116,8 +116,8 @@ func TestInstrumentedLossyRun(t *testing.T) {
 		t.Error("latency histogram sum not positive")
 	}
 
-	// The live gauges must agree with the cluster's own post-run view.
-	if got, want := snap.Gauges["dist.progress.mean"], cl.Mean(); math.Abs(got-want) > 1e-12 {
+	// The live gauges must agree with the runtime's own post-run view.
+	if got, want := snap.Gauges["dist.progress.mean"], rt.Mean(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("live mean gauge %v != Mean() %v", got, want)
 	}
 	ratio := snap.Gauges["dist.progress.var_ratio"]
@@ -125,7 +125,7 @@ func TestInstrumentedLossyRun(t *testing.T) {
 		t.Errorf("var_ratio gauge %v invalid", ratio)
 	}
 	// Telemetry must not perturb the protocol's sum invariant.
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
+	if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
 		t.Errorf("sum drifted by %g with telemetry enabled", drift)
 	}
 }
@@ -139,24 +139,24 @@ func TestInstrumentedLossyRun(t *testing.T) {
 func TestConservationUnderCrashes(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 11, Metrics: reg,
 		Crashes: []CrashEvent{
 			{Node: 0, At: 1, Recover: 3},
 			{Node: 7, At: 2, Recover: 5},
 			{Node: 3, At: 4}, // down until the drain force-recovers it
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Run(context.Background(), 8); err != nil {
+	if err := rt.Run(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Crashes() != 3 {
-		t.Fatalf("crash schedule fired %d times, want 3", cl.Crashes())
+	if rt.Crashes() != 3 {
+		t.Fatalf("crash schedule fired %d times, want 3", rt.Crashes())
 	}
-	if cl.Exchanges() == 0 {
+	if rt.Exchanges() == 0 {
 		t.Fatal("no exchanges committed around the crashes")
 	}
 	snap := reg.Snapshot()
@@ -172,7 +172,7 @@ func TestConservationUnderCrashes(t *testing.T) {
 	if p == 0 {
 		t.Error("no initiations proposed")
 	}
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
+	if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
 		t.Errorf("sum drifted by %g across a crash-faulted run", drift)
 	}
 }
@@ -187,13 +187,13 @@ func TestInstrumentedTCPBytes(t *testing.T) {
 	}
 	defer tr.Close()
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr, Metrics: reg,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Run(context.Background(), 5); err != nil {
+	if err := rt.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -203,7 +203,7 @@ func TestInstrumentedTCPBytes(t *testing.T) {
 	if snap.Counters["dist.transport.tcp_bytes_in"] == 0 {
 		t.Error("no inbound TCP bytes counted")
 	}
-	if cl.Exchanges() == 0 {
+	if rt.Exchanges() == 0 {
 		t.Error("no exchanges committed over TCP")
 	}
 }
@@ -213,19 +213,19 @@ func TestInstrumentedTCPBytes(t *testing.T) {
 // must degrade to no-ops.
 func TestDisabledMetricsIsNilSafe(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 2 * time.Millisecond, Seed: 1,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Run(context.Background(), 5); err != nil {
+	if err := rt.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Exchanges() == 0 {
+	if rt.Exchanges() == 0 {
 		t.Error("no exchanges committed")
 	}
-	if cl.met.proposed != nil || cl.met.live != nil || cl.met.latency != nil {
+	if rt.met.proposed != nil || rt.met.live != nil || rt.met.latency != nil {
 		t.Error("telemetry plane populated without a registry")
 	}
 }

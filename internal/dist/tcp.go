@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -17,12 +16,10 @@ import (
 // stack (examples/cluster -tcp) rather than only over in-process channels;
 // it is not a wide-area-network transport.
 //
-// Each outbound connection opens with a version byte, and the accepting
-// side picks its decoder per connection from that byte, so binary-codec and
-// legacy gob-codec processes interoperate: the codec choice only governs
-// what this transport's own dials speak.
+// Each outbound connection opens with the one-byte wirePreamble; the
+// accepting side closes any connection that starts with anything else,
+// before decoding a single frame.
 type TCPTransport struct {
-	codec     WireCodec
 	listeners []net.Listener
 	ports     []int
 	boxes     []chan Message
@@ -40,7 +37,7 @@ type TCPTransport struct {
 	rec       atomic.Pointer[flight.Recorder]
 }
 
-// countWriter and countReader tally wire bytes as the gob streams move
+// countWriter and countReader tally wire bytes as the frame streams move
 // through them, so telemetry sees real serialized volume, not Message
 // struct sizes.
 type countWriter struct {
@@ -68,32 +65,20 @@ func (cr *countReader) Read(p []byte) (int, error) {
 type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn
-	w   io.Writer    // byte-counted connection writer
-	enc *gob.Encoder // WireGob only
-	buf []byte       // WireBinary frame scratch, reused under mu
+	w   io.Writer // byte-counted connection writer
+	buf []byte    // frame scratch, reused under mu
 }
 
 var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport opens addrs loopback listeners on ephemeral ports, one
 // per address 0..addrs-1, and returns a transport routing Send(m) to the
-// listener of its mailbox address over a cached connection. Outbound
-// connections speak the binary codec; use NewTCPTransportCodec for gob.
+// listener of its mailbox address over a cached connection.
 func NewTCPTransport(addrs int) (*TCPTransport, error) {
-	return NewTCPTransportCodec(addrs, WireBinary)
-}
-
-// NewTCPTransportCodec is NewTCPTransport with an explicit outbound wire
-// codec (the accept side always auto-detects per connection).
-func NewTCPTransportCodec(addrs int, codec WireCodec) (*TCPTransport, error) {
 	if addrs <= 0 {
 		return nil, fmt.Errorf("dist: TCP transport needs a positive address count, got %d", addrs)
 	}
-	if codec != WireBinary && codec != WireGob {
-		return nil, fmt.Errorf("dist: unknown wire codec %v", codec)
-	}
 	t := &TCPTransport{
-		codec:     codec,
 		listeners: make([]net.Listener, addrs),
 		ports:     make([]int, addrs),
 		boxes:     make([]chan Message, addrs),
@@ -145,30 +130,16 @@ func (t *TCPTransport) serve(addr int, c net.Conn) {
 		_ = c.Close()
 	}()
 	cr := &countReader{r: c, n: &t.bytesIn}
-	// The dialer's first byte picks this connection's decoder; an unknown
-	// version byte (including a legacy peer that skips it) kills the
-	// connection rather than guessing at the stream format.
-	var version [1]byte
-	if _, err := io.ReadFull(cr, version[:]); err != nil {
+	// The preamble is a format check on bytes arriving from outside the
+	// program: a peer that does not open with it (an unrelated client, or
+	// one speaking another encoding) is cut off rather than decoded.
+	var preamble [1]byte
+	if _, err := io.ReadFull(cr, preamble[:]); err != nil || preamble[0] != wirePreamble {
 		return
 	}
-	var next func() (Message, error)
-	switch version[0] {
-	case wireVersionBinary:
-		wr := newWireReader(cr)
-		next = wr.readMessage
-	case wireVersionGob:
-		dec := gob.NewDecoder(cr)
-		next = func() (Message, error) {
-			var m Message
-			err := dec.Decode(&m)
-			return m, err
-		}
-	default:
-		return
-	}
+	wr := newWireReader(cr)
 	for {
-		m, err := next()
+		m, err := wr.readMessage()
 		if err != nil {
 			return
 		}
@@ -223,11 +194,18 @@ func (t *TCPTransport) conn(to int) (*tcpConn, error) {
 	}
 	t.mu.Unlock()
 
-	// Dial outside the lock: holding it would serialize every Send in the
-	// cluster behind each connection setup.
+	// Dial and write the preamble outside the lock: holding it would
+	// serialize every Send in the runtime behind each connection setup.
+	// Writing the preamble before the connection is published in
+	// t.outbound means no Send can race ahead of it.
 	c, err := net.Dial("tcp", fmt.Sprintf("127.0.0.1:%d", t.ports[to]))
 	if err != nil {
-		return nil, fmt.Errorf("dist: dialing address %d: %w", to, err)
+		return nil, t.connErr("dialing", to, err)
+	}
+	cw := &countWriter{w: c, n: &t.bytesOut}
+	if _, err := cw.Write([]byte{wirePreamble}); err != nil {
+		_ = c.Close()
+		return nil, t.connErr("handshaking", to, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -240,26 +218,19 @@ func (t *TCPTransport) conn(to int) (*tcpConn, error) {
 		_ = c.Close()
 		return oc, nil
 	}
-	cw := &countWriter{w: c, n: &t.bytesOut}
 	oc := &tcpConn{c: c, w: cw}
-	// The version byte is the first thing on the wire; writing it here,
-	// before the connection is published in t.outbound, means no Send can
-	// race ahead of it.
-	switch t.codec {
-	case WireGob:
-		if _, err := cw.Write([]byte{wireVersionGob}); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("dist: handshaking address %d: %w", to, err)
-		}
-		oc.enc = gob.NewEncoder(cw)
-	default:
-		if _, err := cw.Write([]byte{wireVersionBinary}); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("dist: handshaking address %d: %w", to, err)
-		}
-	}
 	t.outbound[to] = oc
 	return oc, nil
+}
+
+// connErr reports a failed connection setup. A Close that races the dial
+// (closing the listener, or resetting the half-open connection) is the
+// cause, not a network fault, so it surfaces as ErrClosed.
+func (t *TCPTransport) connErr(op string, to int, err error) error {
+	if t.isClosed() {
+		return ErrClosed
+	}
+	return fmt.Errorf("dist: %s address %d: %w", op, to, err)
 }
 
 // Send implements Transport.
@@ -270,12 +241,8 @@ func (t *TCPTransport) Send(m Message) error {
 		return err
 	}
 	oc.mu.Lock()
-	if oc.enc != nil {
-		err = oc.enc.Encode(m)
-	} else {
-		oc.buf = appendMessage(oc.buf[:0], m)
-		_, err = oc.w.Write(oc.buf)
-	}
+	oc.buf = appendMessage(oc.buf[:0], m)
+	_, err = oc.w.Write(oc.buf)
 	oc.mu.Unlock()
 	if err != nil {
 		// Drop the broken connection so a later Send re-dials.

@@ -75,7 +75,7 @@ func TestSendAfterCloseFailsEverywhere(t *testing.T) {
 // TestDelayTransportCloseCancelsDeliveries: messages in the delay layer's
 // timer wheel at Close time must never reach the inner transport — Close
 // semantics say "cancelling all in-flight deliveries", and a late delivery
-// would resurrect protocol messages after a Cluster.Run has already
+// would resurrect protocol messages after a ShardRuntime.Run has already
 // settled its stranded proposals.
 func TestDelayTransportCloseCancelsDeliveries(t *testing.T) {
 	base := leakcheck.Snapshot()
@@ -188,6 +188,46 @@ func TestChanTransportCloseRace(t *testing.T) {
 		case <-box:
 		default:
 			drained = true
+		}
+	}
+}
+
+// TestTCPTransportCloseRacesFirstDial: a Send whose first dial or
+// preamble write races Close must fail with ErrClosed, like every other
+// Send on a closed transport — not with the raw network error the Close
+// caused (a refused dial, or a reset from the listener closing under a
+// half-open connection). Sixteen senders share four addresses, so first
+// dials to one address also race each other.
+func TestTCPTransportCloseRacesFirstDial(t *testing.T) {
+	const iterations, senders, addrs = 300, 16, 4
+	for it := 0; it < iterations; it++ {
+		tr, err := NewTCPTransport(addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, senders)
+		var wg sync.WaitGroup
+		for i := 0; i < senders; i++ {
+			wg.Add(1)
+			go func(to int) {
+				defer wg.Done()
+				<-start
+				if err := tr.Send(testMessage(to)); err != nil {
+					errs <- err
+				}
+			}(i % addrs)
+		}
+		close(start)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("iteration %d: Send racing Close returned %v, want ErrClosed", it, err)
+			}
 		}
 	}
 }

@@ -1,9 +1,16 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"net"
+	"os"
 	"testing"
 	"time"
 
+	"sparsecut/internal/leakcheck"
 	"sparsecut/internal/rng"
 )
 
@@ -269,5 +276,81 @@ func TestTCPTransportValidation(t *testing.T) {
 	}
 	if _, err := tr.Recv(-1); err == nil {
 		t.Error("recv on negative address: no error")
+	}
+}
+
+// TestTCPTransportRejectsUnknownPreamble: bytes from outside the program
+// must open with the wire preamble. A connection that starts with anything
+// else — the retired gob preamble 'G' followed by a real gob stream, a
+// well-formed frame with no preamble, plain garbage — is closed with
+// nothing delivered, and its serve goroutine exits without waiting for
+// Close. The "preamble" case is the control: the same raw dial with the
+// right first byte is served.
+func TestTCPTransportRejectsUnknownPreamble(t *testing.T) {
+	msg := Message{Kind: MsgLock, From: 1, To: 0, Seq: 1, X: 1.5, Epoch: 1}
+	var gobStream bytes.Buffer
+	gobStream.WriteByte('G')
+	if err := gob.NewEncoder(&gobStream).Encode(msg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		served  bool
+	}{
+		{"retired gob preamble", gobStream.Bytes(), false},
+		{"frame without preamble", appendMessage(nil, msg), false},
+		{"garbage", []byte{0, 0xff, 0x7f}, false},
+		{"preamble", appendMessage([]byte{wirePreamble}, msg), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := NewTCPTransport(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			box, err := tr.Recv(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			port, err := tr.Port(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := leakcheck.Snapshot() // the accept loop is already running
+			conn, err := net.Dial("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(c.payload); err != nil {
+				t.Fatal(err)
+			}
+			if c.served {
+				select {
+				case got := <-box:
+					if got != msg {
+						t.Errorf("got %+v, want %+v", got, msg)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("message behind a valid preamble not delivered within 2s")
+				}
+				return
+			}
+			// The transport must hang up: a read sees EOF or a reset,
+			// never the deadline.
+			if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after a bad preamble (read %d bytes, err %v)", n, err)
+			}
+			base.Check(t)
+			select {
+			case got := <-box:
+				t.Errorf("delivered %+v from a connection with a bad preamble", got)
+			default:
+			}
+		})
 	}
 }

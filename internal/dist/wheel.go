@@ -2,9 +2,9 @@ package dist
 
 // wheel.go: a hierarchical timing wheel for the sharded runtime.
 //
-// The goroutine runtime spends one time.Timer (plus a goroutine parked in a
-// select) per node; at 10^6 nodes that is 10^6 runtime timers fighting over
-// the runtime's timer heaps. A shard instead owns ONE wheel and schedules
+// One time.Timer (plus a goroutine parked in a select) per node would mean
+// 10^6 runtime timers fighting over the Go runtime's timer heaps at 10^6
+// nodes. A shard instead owns ONE wheel and schedules
 // all of its nodes' deadlines (gossip clocks, Await/Pend protocol deadlines,
 // crash windows) as intrusive list entries in O(1), paying one coarse
 // time.Timer per shard loop to pace wheel advancement.

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 
@@ -12,9 +11,10 @@ import (
 
 // wire.go: the compact binary codec for Message on the TCP transport.
 //
-// gob spends ~10x the bytes and far more CPU than the protocol needs: every
-// gob stream re-transmits type metadata, and every Encode walks reflection.
-// The binary codec instead writes one length-prefixed frame per message:
+// A reflection-based encoding such as encoding/gob spends ~10x the bytes
+// and far more CPU than the protocol needs: every stream re-transmits type
+// metadata, and every Encode walks reflection. This codec instead writes
+// one length-prefixed frame per message:
 //
 //	uvarint  frame length (bytes following the prefix)
 //	byte     Kind
@@ -33,43 +33,15 @@ import (
 // semantic validation belongs to Machine.Deliver, and a codec that rejects
 // nothing but malformed bytes is the property the fuzzer can pin down.
 //
-// Codec negotiation is per connection: the dialer's first byte is a version
-// byte — wireVersionBinary for this codec, wireVersionGob for the legacy
-// gob stream — and the accepting side switches decoders on it. See tcp.go.
+// Every connection opens with wirePreamble, once, before its first frame.
+// It is a format check, not a negotiation: the accepting side closes a
+// connection that starts with any other byte. See tcp.go.
 
-// WireCodec selects the on-the-wire encoding of a TCP transport.
-type WireCodec uint8
-
-const (
-	// WireBinary is the compact length-prefixed binary codec (default).
-	WireBinary WireCodec = iota
-	// WireGob is the legacy encoding/gob stream, kept so old and new
-	// processes can interoperate during a rolling upgrade: a binary-codec
-	// process accepts gob connections (and vice versa) because the
-	// version byte is negotiated per accepted connection.
-	WireGob
-)
-
-// String names the codec.
-func (c WireCodec) String() string {
-	switch c {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
-// Connection version bytes. 'S' and 'G' are printable and outside gob's
-// plausible first bytes (a gob stream opens with a small type-descriptor
-// length), so a stray legacy dialer that skips the version byte fails fast
+// wirePreamble is the first byte on every connection. It is printable and
+// outside the plausible first bytes of a frame stream (a frame opens with
+// its small length prefix), so a peer speaking anything else fails fast
 // rather than decoding garbage.
-const (
-	wireVersionBinary = 'S'
-	wireVersionGob    = 'G'
-)
+const wirePreamble = 'S'
 
 // maxWireFrame bounds a frame's declared payload length. The largest
 // encodable Message is well under 100 bytes; anything bigger is garbage

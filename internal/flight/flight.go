@@ -7,7 +7,7 @@
 // nothing about internal/dist: records carry plain integers, and the
 // message-kind byte values mirror dist.MsgKind one-for-one (asserted by a
 // cross-check test in internal/dist). Both drivers of the exchange
-// protocol emit into the same recorder — the live goroutine runtime
+// protocol emit into the same recorder — the live sharded runtime
 // (wall-clock timestamps, scheduling-ordered) and the model checker's
 // deterministic replayer (virtual-tick timestamps, fully reproducible) —
 // so a production incident and a model-checker counterexample render

@@ -322,22 +322,22 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 4 * time.Millisecond,
 		Seed:      1,
 		Transport: tr,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Run(context.Background(), 20); err != nil {
+	if err := rt.Run(context.Background(), 20); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Exchanges() == 0 {
+	if rt.Exchanges() == 0 {
 		t.Fatal("no exchanges committed")
 	}
-	if math.Abs(cl.Mean()) > 1e-9 {
-		t.Errorf("mean drifted to %v", cl.Mean())
+	if math.Abs(rt.Mean()) > 1e-9 {
+		t.Errorf("mean drifted to %v", rt.Mean())
 	}
 
 	// The vanilla exchange rule and the delay transport compose the same way.
@@ -345,19 +345,19 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcl, err := NewCluster(g, x0, NewAveragingExchange(), ClusterConfig{
+	vrt, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale:   4 * time.Millisecond,
 		Seed:        2,
 		Transport:   vtr,
 		LockTimeout: 8 * time.Millisecond, // must exceed the delay round trip
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vcl.Run(context.Background(), 10); err != nil {
+	if err := vrt.Run(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	if vcl.Exchanges() == 0 {
+	if vrt.Exchanges() == 0 {
 		t.Fatal("no exchanges committed with the averaging rule")
 	}
 }
@@ -472,27 +472,27 @@ func TestCrashScheduleFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := WorstCaseInit(part)
-	cl, err := NewCluster(g, x0, NewAveragingExchange(), ClusterConfig{
+	rt, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
 		TimeScale: 4 * time.Millisecond,
 		Seed:      9,
 		Crashes: []CrashEvent{
 			{Node: 0, At: 1, Recover: 3},
 			{Node: 7, At: 2}, // down until the drain force-recovers it
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Run(context.Background(), 8); err != nil {
+	if err := rt.Run(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Crashes() != 2 {
-		t.Fatalf("crash schedule fired %d times, want 2", cl.Crashes())
+	if rt.Crashes() != 2 {
+		t.Fatalf("crash schedule fired %d times, want 2", rt.Crashes())
 	}
-	if cl.Exchanges() == 0 {
+	if rt.Exchanges() == 0 {
 		t.Fatal("no exchanges committed around the crashes")
 	}
-	if math.Abs(cl.Mean()) > 1e-9 {
-		t.Errorf("mean drifted to %v across a crash-faulted run", cl.Mean())
+	if math.Abs(rt.Mean()) > 1e-9 {
+		t.Errorf("mean drifted to %v across a crash-faulted run", rt.Mean())
 	}
 }
