@@ -129,7 +129,7 @@ func liveVariance(live []atomic.Uint64) float64 {
 
 // InstrumentTransport registers snapshot-time readers for the transport
 // stack's internal counters — message loss, injected latency, congestion
-// drops, TCP wire bytes — walking decorator layers down to the base
+// drops, TCP wire bytes and socket calls — walking decorator layers down to the base
 // transport. Nothing is added to the send path: the transports already
 // count these atomically; the registry only learns how to read them.
 func InstrumentTransport(reg *metrics.Registry, tr Transport) {
@@ -148,6 +148,8 @@ func InstrumentTransport(reg *metrics.Registry, tr Transport) {
 			reg.CounterFunc("dist.transport.congested", t.Congested)
 			reg.CounterFunc("dist.transport.tcp_bytes_out", t.BytesOut)
 			reg.CounterFunc("dist.transport.tcp_bytes_in", t.BytesIn)
+			reg.CounterFunc("dist.transport.tcp_writes", t.Writes)
+			reg.CounterFunc("dist.transport.tcp_reads", t.Reads)
 			return
 		default:
 			return // an external transport; nothing known to read

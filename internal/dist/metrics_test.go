@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"sparsecut/internal/gossip"
+	"sparsecut/internal/graph"
 	"sparsecut/internal/metrics"
 	"sparsecut/internal/rng"
 )
@@ -177,34 +179,62 @@ func TestConservationUnderCrashes(t *testing.T) {
 	}
 }
 
-// TestInstrumentedTCPBytes checks the TCP transport's wire-byte counters
-// flow into the registry.
+// TestInstrumentedTCPBytes checks the TCP transport's wire-byte and
+// socket-call counters flow into the registry, on a lossy shard run busy
+// enough that each loop iteration has several messages to send: the shard
+// loops batch them, so they make fewer socket writes than they send
+// messages, and fewer than half as many as reach the socket layer.
 func TestInstrumentedTCPBytes(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	tr, err := NewTCPTransport(g.NumNodes())
+	g, part, err := graph.TorusDumbbell(400, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := gossip.CutIndicator(part)
+	const shards = 2
+	tcp, err := NewTCPTransport(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewDropTransport(tcp, 0.05, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	reg := metrics.NewRegistry()
-	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{ClusterConfig: ClusterConfig{
-		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr, Metrics: reg,
-	}})
+	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
+		ClusterConfig: ClusterConfig{TimeScale: 40 * time.Millisecond, Seed: 1, Transport: tr, Metrics: reg},
+		Shards:        shards,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(context.Background(), 5); err != nil {
+	if err := rt.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["dist.transport.tcp_bytes_out"] == 0 {
-		t.Error("no outbound TCP bytes counted")
-	}
-	if snap.Counters["dist.transport.tcp_bytes_in"] == 0 {
-		t.Error("no inbound TCP bytes counted")
+	for _, name := range []string{
+		"dist.transport.tcp_bytes_out",
+		"dist.transport.tcp_bytes_in",
+		"dist.transport.tcp_writes",
+		"dist.transport.tcp_reads",
+		"dist.transport.dropped",
+	} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("counter %q is zero after a lossy TCP run", name)
+		}
 	}
 	if rt.Exchanges() == 0 {
 		t.Error("no exchanges committed over TCP")
+	}
+	var sent int64
+	for _, k := range []string{"lock", "propose", "nack", "commit"} {
+		sent += snap.Counters["dist.msg.sent."+k]
+	}
+	// Loss alone keeps writes below messages sent; batching must keep them
+	// well below the messages that reached the socket layer.
+	kept := sent - snap.Counters["dist.transport.dropped"]
+	if w := snap.Counters["dist.transport.tcp_writes"]; w >= sent || 2*w >= kept {
+		t.Errorf("%d socket writes for %d messages sent (%d past the loss layer): the shard loops did not batch", w, sent, kept)
 	}
 }
 

@@ -265,6 +265,9 @@ type shard struct {
 	recvC <-chan Message // transport path (rt.tr != nil)
 	wakeC chan struct{}
 	batch []Message
+	// outbox collects the transport path's sends of one loop iteration;
+	// flush hands it to the transport before the loop polls or sleeps.
+	outbox []Message
 
 	draining bool
 
@@ -694,7 +697,9 @@ func (s *shard) scheduleClock(li int, now time.Time) {
 }
 
 // loop is the shard body: drain a batch of messages, advance the wheel,
-// then sleep until woken by a producer, the next tick, or shutdown.
+// flush the sends they produced, then sleep until woken by a producer, the
+// next tick, or shutdown. Every path back to the sleep passes the flush,
+// so no message is held across it.
 func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 	defer s.rt.wg.Done()
 	tick := time.NewTimer(s.rt.timerTick)
@@ -702,6 +707,7 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 	for {
 		busy := s.drainMessages() > 0
 		s.w.advance(time.Now().UnixNano(), s.fire)
+		s.flush()
 
 		// Control signals are polled every iteration so a saturated shard
 		// still acknowledges drain/stop promptly.
@@ -1005,8 +1011,8 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 }
 
 // send routes one outgoing message: into the destination shard's mailbox
-// on the direct path, or through the transport (Via-stamped with the
-// destination shard) otherwise.
+// on the direct path, or (Via-stamped with the destination shard) into the
+// outbox the loop flushes through the transport otherwise.
 func (s *shard) send(m Message, nowNs int64) {
 	rt := s.rt
 	rt.met.sent[m.Kind].Inc(s.id)
@@ -1015,9 +1021,7 @@ func (s *shard) send(m Message, nowNs int64) {
 	}
 	if rt.tr != nil {
 		m.Via = rt.shardOf(m.To) + 1
-		if err := rt.tr.Send(m); err != nil {
-			rt.noteSendErr(err)
-		}
+		s.outbox = append(s.outbox, m)
 		return
 	}
 	d := rt.shards[rt.shardOf(m.To)]
@@ -1030,6 +1034,17 @@ func (s *shard) send(m Message, nowNs int64) {
 	case d.wakeC <- struct{}{}:
 	default:
 	}
+}
+
+// flush hands the outbox to the transport in one Send and empties it.
+func (s *shard) flush() {
+	if len(s.outbox) == 0 {
+		return
+	}
+	if err := s.rt.tr.Send(s.outbox...); err != nil {
+		s.rt.noteSendErr(err)
+	}
+	s.outbox = s.outbox[:0]
 }
 
 // Graph returns the runtime's graph.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +13,12 @@ import (
 
 // TCPTransport carries protocol messages over loopback TCP: one listener
 // per address, length-prefixed binary frames (wire.go) on persistent
-// connections. It exists so the runtime can be exercised over a real socket
-// stack (examples/cluster -tcp) rather than only over in-process channels;
-// it is not a wide-area-network transport.
+// connections. A Send makes one socket write per destination, however many
+// messages it carries, and the accepting side decodes frames from a
+// buffered reader, so one read syscall serves every frame it pulls in. It
+// exists so the runtime can be exercised over a real socket stack
+// (examples/cluster -tcp) rather than only over in-process channels; it is
+// not a wide-area-network transport.
 //
 // Each outbound connection opens with the one-byte wirePreamble; the
 // accepting side closes any connection that starts with anything else,
@@ -34,31 +38,37 @@ type TCPTransport struct {
 	congested atomic.Int64
 	bytesOut  atomic.Int64
 	bytesIn   atomic.Int64
+	writes    atomic.Int64
+	reads     atomic.Int64
 	rec       atomic.Pointer[flight.Recorder]
 }
 
-// countWriter and countReader tally wire bytes as the frame streams move
-// through them, so telemetry sees real serialized volume, not Message
-// struct sizes.
+// countWriter and countReader tally wire bytes and calls as the frame
+// streams move through them, so telemetry sees real serialized volume, not
+// Message struct sizes, and the number of socket writes and reads it took.
 type countWriter struct {
-	w io.Writer
-	n *atomic.Int64
+	w     io.Writer
+	n     *atomic.Int64
+	calls *atomic.Int64
 }
 
 func (cw *countWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n.Add(int64(n))
+	cw.calls.Add(1)
 	return n, err
 }
 
 type countReader struct {
-	r io.Reader
-	n *atomic.Int64
+	r     io.Reader
+	n     *atomic.Int64
+	calls *atomic.Int64
 }
 
 func (cr *countReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n.Add(int64(n))
+	cr.calls.Add(1)
 	return n, err
 }
 
@@ -72,8 +82,8 @@ type tcpConn struct {
 var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport opens addrs loopback listeners on ephemeral ports, one
-// per address 0..addrs-1, and returns a transport routing Send(m) to the
-// listener of its mailbox address over a cached connection.
+// per address 0..addrs-1, and returns a transport routing each sent message
+// to the listener of its mailbox address over a cached connection.
 func NewTCPTransport(addrs int) (*TCPTransport, error) {
 	if addrs <= 0 {
 		return nil, fmt.Errorf("dist: TCP transport needs a positive address count, got %d", addrs)
@@ -129,15 +139,15 @@ func (t *TCPTransport) serve(addr int, c net.Conn) {
 		t.mu.Unlock()
 		_ = c.Close()
 	}()
-	cr := &countReader{r: c, n: &t.bytesIn}
+	// The byte count sits below the buffer, so BytesIn and Reads stay
+	// socket-level figures.
+	wr := newWireReader(&countReader{r: c, n: &t.bytesIn, calls: &t.reads})
 	// The preamble is a format check on bytes arriving from outside the
 	// program: a peer that does not open with it (an unrelated client, or
 	// one speaking another encoding) is cut off rather than decoded.
-	var preamble [1]byte
-	if _, err := io.ReadFull(cr, preamble[:]); err != nil || preamble[0] != wirePreamble {
+	if b, err := wr.r.ReadByte(); err != nil || b != wirePreamble {
 		return
 	}
-	wr := newWireReader(cr)
 	for {
 		m, err := wr.readMessage()
 		if err != nil {
@@ -169,6 +179,13 @@ func (t *TCPTransport) BytesOut() int64 { return t.bytesOut.Load() }
 
 // BytesIn returns the total bytes read off accepted connections.
 func (t *TCPTransport) BytesIn() int64 { return t.bytesIn.Load() }
+
+// Writes returns the number of socket writes made on outbound connections,
+// each connection's preamble included.
+func (t *TCPTransport) Writes() int64 { return t.writes.Load() }
+
+// Reads returns the number of socket reads made on accepted connections.
+func (t *TCPTransport) Reads() int64 { return t.reads.Load() }
 
 // Port returns the loopback port the given address listens on.
 func (t *TCPTransport) Port(addr int) (int, error) {
@@ -202,7 +219,7 @@ func (t *TCPTransport) conn(to int) (*tcpConn, error) {
 	if err != nil {
 		return nil, t.connErr("dialing", to, err)
 	}
-	cw := &countWriter{w: c, n: &t.bytesOut}
+	cw := &countWriter{w: c, n: &t.bytesOut, calls: &t.writes}
 	if _, err := cw.Write([]byte{wirePreamble}); err != nil {
 		_ = c.Close()
 		return nil, t.connErr("handshaking", to, err)
@@ -233,15 +250,39 @@ func (t *TCPTransport) connErr(op string, to int, err error) error {
 	return fmt.Errorf("dist: %s address %d: %w", op, to, err)
 }
 
-// Send implements Transport.
-func (t *TCPTransport) Send(m Message) error {
-	addr := mailboxAddr(m)
+// Send implements Transport: the batch is grouped by mailbox address, and
+// each destination's messages go out in batch order in one socket write.
+func (t *TCPTransport) Send(ms ...Message) error {
+	var seenBuf [8]int
+	seen := seenBuf[:0]
+	var first error
+	for i, m := range ms {
+		addr := mailboxAddr(m)
+		if slices.Contains(seen, addr) {
+			continue
+		}
+		seen = append(seen, addr)
+		if err := t.sendTo(addr, ms[i:]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// sendTo encodes the messages of ms addressed to addr into the
+// connection's scratch buffer and writes them in one call.
+func (t *TCPTransport) sendTo(addr int, ms []Message) error {
 	oc, err := t.conn(addr)
 	if err != nil {
 		return err
 	}
 	oc.mu.Lock()
-	oc.buf = appendMessage(oc.buf[:0], m)
+	oc.buf = oc.buf[:0]
+	for _, m := range ms {
+		if mailboxAddr(m) == addr {
+			oc.buf = appendMessage(oc.buf, m)
+		}
+	}
 	_, err = oc.w.Write(oc.buf)
 	oc.mu.Unlock()
 	if err != nil {

@@ -106,17 +106,24 @@ func mailboxAddr(m Message) int {
 var ErrClosed = errors.New("dist: transport closed")
 
 // Transport moves Messages between addresses. Implementations must be safe
-// for concurrent use by many goroutines. Delivery is best-effort: it may be
-// lossy (DropTransport, or any transport under congestion) or slow
-// (DelayTransport) but never duplicating or corrupting — the exchange
-// protocol tolerates loss and reordering, and generates its own duplicates
-// (proposal retransmission) which receivers deduplicate.
+// for concurrent use by many goroutines. Delivery is best-effort per
+// message: any message of a batch may be lost (DropTransport, or any
+// transport under congestion) or slow (DelayTransport) but never
+// duplicated or corrupted — the exchange protocol tolerates loss and
+// reordering, and generates its own duplicates (proposal retransmission)
+// which receivers deduplicate.
 type Transport interface {
-	// Send delivers m to its mailbox (m.To, or m.Via-1 when the Via
-	// routing override is set), or drops it (congestion is loss,
-	// as on a real network — a blocking Send could deadlock two actors
-	// with mutually full mailboxes). Send must not block indefinitely.
-	Send(m Message) error
+	// Send delivers each message of the batch to its mailbox (m.To, or
+	// m.Via-1 when the Via routing override is set), or drops it
+	// (congestion is loss, as on a real network — a blocking Send could
+	// deadlock two actors with mutually full mailboxes). Messages to one
+	// mailbox leave in batch order; a transport may coalesce them (TCP
+	// makes one socket write per destination per call). Send tries every
+	// destination and returns the first error, so one broken destination
+	// does not swallow traffic meant for healthy ones. Send must not block
+	// indefinitely, and must not retain ms after it returns: the shard
+	// runtime reuses the slice for its next batch.
+	Send(ms ...Message) error
 	// Recv returns the mailbox channel for addr. Repeated calls with the
 	// same addr return the same channel.
 	Recv(addr int) (<-chan Message, error)
@@ -171,18 +178,19 @@ func (t *ChanTransport) box(addr int) chan Message {
 // (congestion loss): blocking would let two actors with mutually full
 // mailboxes deadlock, whereas the exchange protocol already recovers from
 // loss of any message kind.
-func (t *ChanTransport) Send(m Message) error {
-	box := t.box(mailboxAddr(m))
+func (t *ChanTransport) Send(ms ...Message) error {
 	select {
 	case <-t.closed:
 		return ErrClosed
 	default:
 	}
-	select {
-	case box <- m:
-	default:
-		t.congested.Add(1)
-		recordNetDrop(t.rec.Load(), m, m.From, flight.ReasonCongestion)
+	for _, m := range ms {
+		select {
+		case t.box(mailboxAddr(m)) <- m:
+		default:
+			t.congested.Add(1)
+			recordNetDrop(t.rec.Load(), m, m.From, flight.ReasonCongestion)
+		}
 	}
 	return nil
 }
@@ -204,8 +212,9 @@ func (t *ChanTransport) Close() error {
 
 // DropTransport decorates a Transport with i.i.d. Bernoulli message loss —
 // the fault-injection layer of experiment E12. Drop decisions are drawn from
-// a private RNG, so given the same seed and the same sequence of Send calls
-// the same messages are dropped.
+// a private RNG, so given the same seed and the same sequence of messages
+// the same messages are dropped, however the sequence is split into Send
+// batches.
 type DropTransport struct {
 	inner   Transport
 	rate    float64
@@ -233,18 +242,41 @@ func NewDropTransport(inner Transport, dropRate float64, r *rng.RNG) (*DropTrans
 	return &DropTransport{inner: inner, rate: dropRate, r: r}, nil
 }
 
-// Send implements Transport, losing the message with the configured
+// Send implements Transport, losing each message with the configured
 // probability (a loss is a successful no-op, as on a real lossy network).
-func (t *DropTransport) Send(m Message) error {
+// The batch's draws are taken in message order under one lock acquisition:
+// the lock advances the shared stream past the batch, and a copy of the
+// stream taken before the advance replays the same draws outside it. Each
+// run of kept messages is forwarded as a sub-slice of ms, so the batch
+// reaches the inner transport without being copied.
+func (t *DropTransport) Send(ms ...Message) error {
 	t.mu.Lock()
-	u := t.r.Float64()
+	r := *t.r
+	for range ms {
+		t.r.Float64()
+	}
 	t.mu.Unlock()
-	if u < t.rate {
+	var first error
+	forward := func(run []Message) {
+		if len(run) == 0 {
+			return
+		}
+		if err := t.inner.Send(run...); err != nil && first == nil {
+			first = err
+		}
+	}
+	kept := 0 // start of the current run of kept messages
+	for i, m := range ms {
+		if r.Float64() >= t.rate {
+			continue
+		}
+		forward(ms[kept:i])
+		kept = i + 1
 		t.dropped.Add(1)
 		recordNetDrop(t.rec.Load(), m, m.From, flight.ReasonLoss)
-		return nil
 	}
-	return t.inner.Send(m)
+	forward(ms[kept:])
+	return first
 }
 
 // Recv implements Transport.
@@ -299,9 +331,9 @@ func NewDelayTransport(inner Transport, maxDelay time.Duration, r *rng.RNG) (*De
 	return &DelayTransport{inner: inner, max: maxDelay, r: r, timers: make(map[*time.Timer]struct{})}, nil
 }
 
-// Send implements Transport: the message is handed to the inner transport
-// after the sampled delay.
-func (t *DelayTransport) Send(m Message) error {
+// Send implements Transport: each message is handed to the inner
+// transport after its own sampled delay, on its own timer.
+func (t *DelayTransport) Send(ms ...Message) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -311,6 +343,16 @@ func (t *DelayTransport) Send(m Message) error {
 		t.mu.Unlock()
 		return err
 	}
+	for _, m := range ms {
+		t.schedule(m)
+	}
+	t.mu.Unlock()
+	t.delayed.Add(int64(len(ms)))
+	return nil
+}
+
+// schedule arms m's delivery timer. The caller holds t.mu.
+func (t *DelayTransport) schedule(m Message) {
 	d := time.Duration(t.r.Float64() * float64(t.max))
 	var tm *time.Timer
 	tm = time.AfterFunc(d, func() {
@@ -339,9 +381,6 @@ func (t *DelayTransport) Send(m Message) error {
 		}
 	})
 	t.timers[tm] = struct{}{}
-	t.mu.Unlock()
-	t.delayed.Add(1)
-	return nil
 }
 
 // Delayed returns the number of messages that have been scheduled through

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -352,5 +353,228 @@ func TestTCPTransportRejectsUnknownPreamble(t *testing.T) {
 			default:
 			}
 		})
+	}
+}
+
+// seqBatch returns n LOCKs to address to, numbered by Seq from 0.
+func seqBatch(n, to int) []Message {
+	ms := make([]Message, n)
+	for i := range ms {
+		ms[i] = Message{Kind: MsgLock, From: 1, To: to, Seq: uint64(i), X: float64(i) / 4}
+	}
+	return ms
+}
+
+// receiveN reads n messages from box, failing the test after 2s.
+func receiveN(t *testing.T, box <-chan Message, n int) []Message {
+	t.Helper()
+	got := make([]Message, 0, n)
+	deadline := time.After(2 * time.Second)
+	for len(got) < n {
+		select {
+		case m := <-box:
+			got = append(got, m)
+		case <-deadline:
+			t.Fatalf("only %d/%d messages delivered within 2s", len(got), n)
+		}
+	}
+	return got
+}
+
+// TestTCPTransportBatchOneWrite: a Send of 64 messages to one address
+// costs exactly one socket write after the connection's preamble, and all
+// 64 arrive in order.
+func TestTCPTransportBatchOneWrite(t *testing.T) {
+	tr, err := NewTCPTransport(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	box, err := tr.Recv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seqBatch(64, 0)
+	if err := tr.Send(want...); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Writes(); got != 2 {
+		t.Errorf("Writes() = %d after one 64-message Send, want 2 (preamble + batch)", got)
+	}
+	if got := receiveN(t, box, len(want)); !slices.Equal(got, want) {
+		t.Errorf("batch arrived as %+v, want %+v", got, want)
+	}
+	if tr.Reads() == 0 {
+		t.Error("Reads() = 0 after a delivered batch")
+	}
+}
+
+// TestTCPTransportBatchMixedAddresses: one Send interleaving two
+// addresses (one by To, one by the Via override) delivers each address's
+// messages complete and in order, in one write per destination.
+func TestTCPTransportBatchMixedAddresses(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var batch, want0, want1 []Message
+	for i := 0; i < 40; i++ {
+		m := Message{Kind: MsgPropose, From: 5, To: 7, Via: 1, Seq: uint64(i)}
+		if i%3 == 0 {
+			m.Via = 2
+			want1 = append(want1, m)
+		} else {
+			want0 = append(want0, m)
+		}
+		batch = append(batch, m)
+	}
+	if err := tr.Send(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Writes(); got != 4 {
+		t.Errorf("Writes() = %d, want 4 (two preambles + one write per destination)", got)
+	}
+	for addr, want := range [][]Message{want0, want1} {
+		box, err := tr.Recv(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := receiveN(t, box, len(want)); !slices.Equal(got, want) {
+			t.Errorf("address %d received %+v, want %+v", addr, got, want)
+		}
+	}
+}
+
+// TestTCPTransportBatchErrorSparesHealthyDestinations: a batch naming an
+// unknown address returns that error, but the messages for a healthy
+// address in the same batch are still delivered.
+func TestTCPTransportBatchErrorSparesHealthyDestinations(t *testing.T) {
+	tr, err := NewTCPTransport(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	box, err := tr.Recv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := Message{Kind: MsgCommit, To: 0, Seq: 3}
+	if err := tr.Send(Message{To: 9}, good); err == nil {
+		t.Error("batch with an unknown address: no error")
+	}
+	if got := receiveN(t, box, 1); got[0] != good {
+		t.Errorf("healthy destination received %+v, want %+v", got[0], good)
+	}
+}
+
+// TestDropTransportBatchMatchesSingles: given the same seed, the same
+// messages are dropped whether they are sent one at a time, in one batch,
+// or in uneven batches — the draws follow message order, not Send calls.
+func TestDropTransportBatchMatchesSingles(t *testing.T) {
+	const n = 500
+	msgs := seqBatch(n, 0)
+	run := func(split func([]Message) [][]Message) ([]uint64, int64) {
+		dt, err := NewDropTransport(NewChanTransport(n), 0.3, rng.New(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range split(msgs) {
+			if err := dt.Send(b...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return delivered(t, dt, 0), dt.Dropped()
+	}
+	singles, dropped := run(func(ms []Message) [][]Message {
+		var bs [][]Message
+		for i := range ms {
+			bs = append(bs, ms[i:i+1])
+		}
+		return bs
+	})
+	if dropped == 0 || len(singles) == n {
+		t.Fatalf("nothing dropped at rate 0.3 (dropped %d, delivered %d)", dropped, len(singles))
+	}
+	for name, split := range map[string]func([]Message) [][]Message{
+		"one batch": func(ms []Message) [][]Message { return [][]Message{ms} },
+		"uneven":    func(ms []Message) [][]Message { return [][]Message{ms[:1], ms[1:7], ms[7:7], ms[7:300], ms[300:]} },
+	} {
+		got, d := run(split)
+		if !slices.Equal(got, singles) || d != dropped {
+			t.Errorf("%s: delivered %v (dropped %d), want %v (dropped %d) as sent singly", name, got, d, singles, dropped)
+		}
+	}
+}
+
+// TestChanTransportBatchMatchesSingles: a batch delivers exactly what the
+// same messages sent singly deliver, in the same order, and a full
+// mailbox drops the batch's overflow as congestion.
+func TestChanTransportBatchMatchesSingles(t *testing.T) {
+	msgs := append(seqBatch(6, 0), seqBatch(4, 1)...)
+	var got [2][][]Message
+	var congested [2]int64
+	for leg := range got {
+		tr := NewChanTransport(5)
+		if leg == 0 {
+			for _, m := range msgs {
+				if err := tr.Send(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := tr.Send(msgs...); err != nil {
+			t.Fatal(err)
+		}
+		for addr := 0; addr < 2; addr++ {
+			box, _ := tr.Recv(addr)
+			got[leg] = append(got[leg], receiveN(t, box, len(box)))
+		}
+		congested[leg] = tr.Congested()
+	}
+	for addr := 0; addr < 2; addr++ {
+		if !slices.Equal(got[0][addr], got[1][addr]) {
+			t.Errorf("address %d: batch delivered %+v, singles %+v", addr, got[1][addr], got[0][addr])
+		}
+	}
+	if congested[0] != 1 || congested[1] != 1 {
+		t.Errorf("Congested() = %d singly, %d batched; want 1 each (6 messages into a 5-slot mailbox)", congested[0], congested[1])
+	}
+}
+
+// TestDelayTransportBatchMatchesSingles: given the same seed, a batch
+// schedules and delivers exactly the messages the same sends made singly
+// do (each on its own timer, so arrival order is the delays' business).
+func TestDelayTransportBatchMatchesSingles(t *testing.T) {
+	const n = 50
+	msgs := seqBatch(n, 0)
+	var got [2][]uint64
+	for leg := range got {
+		dt, err := NewDelayTransport(NewChanTransport(n), time.Millisecond, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leg == 0 {
+			for _, m := range msgs {
+				if err := dt.Send(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := dt.Send(msgs...); err != nil {
+			t.Fatal(err)
+		}
+		if d := dt.Delayed(); d != n {
+			t.Errorf("leg %d: Delayed() = %d, want %d", leg, d, n)
+		}
+		box, _ := dt.Recv(0)
+		for _, m := range receiveN(t, box, n) {
+			got[leg] = append(got[leg], m.Seq)
+		}
+		slices.Sort(got[leg])
+		if err := dt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(got[0], got[1]) {
+		t.Errorf("batch delivered %v, singles %v", got[1], got[0])
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -164,20 +165,27 @@ func decodeMessage(buf []byte) (Message, int, error) {
 	return m, n + int(size), nil
 }
 
+// wireReadBuf is the accepting side's read buffer: one read syscall pulls
+// in up to this many bytes, a few hundred typical frames.
+const wireReadBuf = 4096
+
 // wireReader decodes a stream of frames from r (the per-connection reader
-// loop on the accepting side of a TCP transport).
+// loop on the accepting side of a TCP transport). It reads ahead through a
+// buffer: one reader owns a connection for its whole life, so bytes of the
+// next frames are never stranded.
 type wireReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	buf [maxWireFrame]byte
-	one [1]byte
 }
 
-func newWireReader(r io.Reader) *wireReader { return &wireReader{r: r} }
+func newWireReader(r io.Reader) *wireReader {
+	return &wireReader{r: bufio.NewReaderSize(r, wireReadBuf)}
+}
 
 // readMessage reads exactly one frame. io.EOF on a clean frame boundary is
 // returned as-is; a stream that ends mid-frame yields ErrUnexpectedEOF.
 func (w *wireReader) readMessage() (Message, error) {
-	size, err := w.readUvarint(true)
+	size, err := binary.ReadUvarint(w.r)
 	if err != nil {
 		return Message{}, err
 	}
@@ -192,24 +200,4 @@ func (w *wireReader) readMessage() (Message, error) {
 		return Message{}, err
 	}
 	return decodeFrame(body)
-}
-
-// readUvarint reads a varint byte-by-byte so that no bytes of the next
-// frame are buffered past it. atBoundary makes EOF on the FIRST byte clean.
-func (w *wireReader) readUvarint(atBoundary bool) (uint64, error) {
-	var v uint64
-	for shift := 0; shift < 64; shift += 7 {
-		if _, err := io.ReadFull(w.r, w.one[:]); err != nil {
-			if err == io.EOF && !(atBoundary && shift == 0) {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		b := w.one[0]
-		v |= uint64(b&0x7f) << shift
-		if b&0x80 == 0 {
-			return v, nil
-		}
-	}
-	return 0, errors.New("dist: wire length prefix overflows uvarint")
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"sparsecut/internal/graph"
 )
@@ -181,6 +182,11 @@ func TestRegenWireCorpus(t *testing.T) {
 //  2. Encode-decode identity: a Message built from the fuzzed bytes must
 //     round-trip exactly, including through the streaming reader, and the
 //     stream must reject every truncation of the frame.
+//  3. Streams: the buffered reader, fed through readers that return one
+//     byte or half the request per call, must agree frame for frame with
+//     decodeMessage on the raw bytes, and must decode a multi-frame stream
+//     of the synthesized message to a clean io.EOF, or to
+//     io.ErrUnexpectedEOF when the last frame is cut.
 func FuzzWireCodec(f *testing.F) {
 	for _, s := range wireCorpusSeeds() {
 		f.Add(s)
@@ -233,6 +239,52 @@ func FuzzWireCodec(f *testing.F) {
 		got2, err := sr.readMessage()
 		if err != nil || !sameMessage(got2, m) {
 			t.Fatalf("stream round trip: %+v, %v", got2, err)
+		}
+
+		// Direction 3: streams across arbitrary read boundaries.
+		want := []Message{m, wireSamples[len(data)%len(wireSamples)], m}
+		var stream []byte
+		for _, w := range want {
+			stream = appendMessage(stream, w)
+		}
+		for name, wrap := range map[string]func(io.Reader) io.Reader{
+			"one-byte": iotest.OneByteReader,
+			"half":     iotest.HalfReader,
+		} {
+			wr := newWireReader(wrap(bytes.NewReader(data)))
+			for rest := data; ; {
+				dm, n, derr := decodeMessage(rest)
+				sm, serr := wr.readMessage()
+				if (derr == nil) != (serr == nil) {
+					t.Fatalf("%s: stream and buffer decoders disagree: %v vs %v", name, serr, derr)
+				}
+				if derr != nil {
+					break
+				}
+				if !sameMessage(sm, dm) {
+					t.Fatalf("%s: stream decoded %+v, buffer %+v", name, sm, dm)
+				}
+				rest = rest[n:]
+			}
+
+			wr = newWireReader(wrap(bytes.NewReader(stream)))
+			for i, w := range want {
+				if got, err := wr.readMessage(); err != nil || !sameMessage(got, w) {
+					t.Fatalf("%s: stream message %d: %+v, %v; want %+v", name, i, got, err, w)
+				}
+			}
+			if _, err := wr.readMessage(); err != io.EOF {
+				t.Fatalf("%s: stream end: got %v, want io.EOF", name, err)
+			}
+			wr = newWireReader(wrap(bytes.NewReader(stream[:len(stream)-1])))
+			for range want[1:] {
+				if _, err := wr.readMessage(); err != nil {
+					t.Fatalf("%s: cut stream failed before its last frame: %v", name, err)
+				}
+			}
+			if _, err := wr.readMessage(); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%s: mid-frame cut: got %v, want io.ErrUnexpectedEOF", name, err)
+			}
 		}
 	})
 }
