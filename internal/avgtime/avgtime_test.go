@@ -282,19 +282,9 @@ func TestEstimateWithRatesValidation(t *testing.T) {
 	}
 }
 
-// hideKernel wraps an Algorithm so it no longer implements sim.TickKernel,
-// forcing runTrial onto the HandleTick fallback.
-type hideKernel struct{ inner gossip.Algorithm }
-
-func (h hideKernel) Name() string                         { return h.inner.Name() }
-func (h hideKernel) HandleTick(e graph.EdgeID, t float64) { h.inner.HandleTick(e, t) }
-func (h hideKernel) Values() []float64                    { return h.inner.Values() }
-func (h hideKernel) Mean() float64                        { return h.inner.Mean() }
-func (h hideKernel) Variance() float64                    { return h.inner.Variance() }
-
-// The fused tracked loop and the generic fallback must agree on the
-// estimate: same events, same censoring, per-trial last-exceedance times
-// equal to float accuracy.
+// The estimator's fused tracked loop must agree with a reference trial
+// written as the generic Run loop with a per-event observer — same
+// events, same censoring, bit-identical per-trial last-exceedance times.
 func TestKernelAndFallbackTrialsAgree(t *testing.T) {
 	g, p, err := graph.Dumbbell(12, 12, 1)
 	if err != nil {
@@ -306,21 +296,72 @@ func TestKernelAndFallbackTrialsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fallback, err := Estimate(g, func(int, *rng.RNG) (gossip.Algorithm, error) {
-		v, err := gossip.NewVanilla(g, x0)
-		return hideKernel{inner: v}, err
-	}, cfg)
+	// The reference derives the trial streams exactly as Estimate does
+	// and applies Definition 1's stop rule with vanilla's quiet period 1.
+	root := rng.New(cfg.Seed)
+	stopMargin := DefaultThreshold * 1e-8
+	var events int64
+	censored := 0
+	for trial := 0; trial < cfg.Trials; trial++ {
+		root.Split() // the algorithm stream, unused by vanilla
+		alg, err := gossip.NewVanilla(g, x0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var0 := alg.Variance()
+		v, last := var0, 0.0
+		eng, err := sim.NewEngine(g, alg, sim.WithRNG(root.Split()), sim.WithObserver(func(at float64, _ int64) {
+			v = alg.Variance()
+			if v > DefaultThreshold*var0 {
+				last = at
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, n := eng.Run(func(at float64, _ int64) bool {
+			return at >= cfg.MaxTime || (v < stopMargin*var0 && at >= last+1)
+		})
+		events += n
+		if end >= cfg.MaxTime && v >= stopMargin*var0 {
+			censored++
+		}
+		if got := kernel.PerTrial[trial]; got != last {
+			t.Errorf("trial %d: last exceedance %v kernel vs %v reference", trial, got, last)
+		}
+	}
+	if kernel.Censored != censored || kernel.Events != events {
+		t.Errorf("kernel (censored=%d, events=%d) vs reference (censored=%d, events=%d)",
+			kernel.Censored, kernel.Events, censored, events)
+	}
+}
+
+// NaN compares false with every bound, so each Config range check must be
+// written to fail closed on it: a NaN threshold used to yield Tav = 0 and
+// a NaN quantile a panic inside stats.Quantile.
+func TestConfigRejectsNaN(t *testing.T) {
+	g, p, err := graph.Dumbbell(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kernel.Censored != fallback.Censored || kernel.Events != fallback.Events {
-		t.Errorf("kernel (censored=%d, events=%d) vs fallback (censored=%d, events=%d)",
-			kernel.Censored, kernel.Events, fallback.Censored, fallback.Events)
-	}
-	for i := range kernel.PerTrial {
-		a, b := kernel.PerTrial[i], fallback.PerTrial[i]
-		if a != b {
-			t.Errorf("trial %d: last exceedance %v kernel vs %v fallback", i, a, b)
+	factory := VanillaFactory(g, gossip.CutIndicator(p))
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Threshold", Config{Threshold: nan}},
+		{"Quantile", Config{Quantile: nan}},
+		{"MarginFactor", Config{MarginFactor: nan}},
+		{"MaxTime", Config{MaxTime: nan}},
+		{"QuietTime", Config{QuietTime: nan}},
+	} {
+		c.cfg.Trials = 1
+		if _, err := Estimate(g, factory, c.cfg); err == nil {
+			t.Errorf("Estimate: %s NaN accepted", c.name)
+		}
+		if _, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, gossip.CutIndicator(p)), c.cfg); err == nil {
+			t.Errorf("EstimateBatched: %s NaN accepted", c.name)
 		}
 	}
 }

@@ -32,7 +32,7 @@ type EnsembleFactory func(replicas int, algStreams []*rng.RNG) (sim.BatchKernel,
 // engine is inherently a global-clock construction), and BatchWidth
 // bounds how many trials are resident per batch (memory only — every
 // trial's randomness comes from its own pair of child streams, derived
-// from Config.Seed in trial order exactly as the legacy loop derives
+// from Config.Seed in trial order exactly as Estimate derives
 // them, so the reported Result is byte-identical for any width).
 //
 // Algorithms whose tracked statistics need materialised per-event times
@@ -47,7 +47,7 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		return Result{}, errors.New("avgtime: nil ensemble factory")
 	}
 	// Per-trial streams, split from the root in trial order — the same
-	// derivation as the legacy loop, independent of the batch grouping.
+	// derivation as Estimate, independent of the batch grouping.
 	root := rng.New(cfg.Seed)
 	algStreams := make([]*rng.RNG, cfg.Trials)
 	simStreams := make([]*rng.RNG, cfg.Trials)

@@ -59,7 +59,8 @@ type SwapEvent struct {
 }
 
 // SparseCutAveraging is Algorithm A. It implements gossip.Algorithm (and
-// therefore sim.Handler). Construct with New; the zero value is not usable.
+// therefore sim.TickKernel). Construct with New; the zero value is not
+// usable.
 type SparseCutAveraging struct {
 	g    *graph.Graph
 	part *graph.Partition
@@ -67,7 +68,7 @@ type SparseCutAveraging struct {
 
 	ec       graph.EdgeID
 	isCut    []bool  // per-edge: crosses the partition
-	eu, ev   []int32 // flat endpoint arrays of g, for the fused kernel
+	eu, ev   []int32 // flat endpoint arrays of g
 	weight   float64
 	rule     WeightRule
 	epochK   int64 // swap every epochK-th tick of ec
@@ -248,7 +249,7 @@ func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, err
 		if tvan1 < 0 || tvan2 < 0 || math.IsNaN(tvan1) || math.IsNaN(tvan2) || math.IsInf(tvan1, 0) || math.IsInf(tvan2, 0) {
 			return nil, fmt.Errorf("core: invalid Tvan estimates (%v, %v)", tvan1, tvan2)
 		}
-		if cfg.epochC <= 0 {
+		if !(0 < cfg.epochC) {
 			return nil, fmt.Errorf("core: epoch constant %v must be positive", cfg.epochC)
 		}
 		a.tvan1, a.tvan2 = tvan1, tvan2
@@ -288,22 +289,6 @@ func (a *SparseCutAveraging) Name() string {
 	return fmt.Sprintf("algorithm-A(w=%s, K=%d)", a.rule, a.epochK)
 }
 
-// HandleTick implements gossip.Algorithm (and sim.Handler).
-func (a *SparseCutAveraging) HandleTick(e graph.EdgeID, t float64) {
-	switch {
-	case e == a.ec || (a.ec < 0 && a.isCut[e]):
-		a.tickCut(e, t)
-	case a.isCut[e]:
-		// Non-designated cut edges make no update (paper, Section 1.0.1).
-	default:
-		edge := a.g.Edge(e)
-		i, j := int(edge.U), int(edge.V)
-		avg := (a.st.Get(i) + a.st.Get(j)) / 2
-		a.st.Set(i, avg)
-		a.st.Set(j, avg)
-	}
-}
-
 // swap applies the non-convex update at cut edge e.
 func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 	edge := a.g.Edge(e)
@@ -336,7 +321,7 @@ func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 }
 
 // tickCut advances the designated-edge counter and fires the swap on the
-// epoch boundary — the shared cut-edge body of HandleTick and the kernel.
+// epoch boundary — the shared cut-edge body of the eager and lazy loops.
 func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 	a.ecTicks++
 	if a.ecTicks%a.epochK == 0 {
@@ -344,31 +329,24 @@ func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 	}
 }
 
-// TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event. Runs of internal edges — the
-// overwhelming majority on a sparse-cut graph — are flushed to the lazy
-// two-point average in sub-batches; cut edges take the same counter/swap
-// path as HandleTick, in order.
+// TickEdges implements gossip.Algorithm: the fused batch loop. Runs of
+// internal edges — the overwhelming majority on a sparse-cut graph — are
+// flushed to the lazy two-point average in sub-batches; cut edges take the
+// counter/swap path in order.
 //
-// With a swap listener installed the loop uses the eager (incremental)
-// moment updates instead: the listener's VarBefore/VarAfter then match the
-// legacy HandleTick path bit for bit, rather than being resync-exact —
-// E6-style per-epoch statistics read those fields at the float noise
-// floor, where the difference is observable.
+// With a swap listener installed the loop takes the eager per-event body,
+// TickEdgeVar, instead: the listener's VarBefore/VarAfter then match the
+// per-event path bit for bit, rather than being resync-exact — E6-style
+// per-epoch statistics read those fields at the float noise floor, where
+// the difference is observable.
 func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
-	eu, ev, st, isCut := a.eu, a.ev, a.st, a.isCut
 	if a.listener != nil {
 		for k, e := range edges {
-			if isCut[e] {
-				if e == a.ec || a.ec < 0 {
-					a.tickCut(e, times[k])
-				}
-				continue
-			}
-			st.AverageEdge(int(eu[e]), int(ev[e]))
+			a.TickEdgeVar(e, times[k])
 		}
 		return
 	}
+	eu, ev, st, isCut := a.eu, a.ev, a.st, a.isCut
 	start := 0
 	for k, e := range edges {
 		if !isCut[e] {
@@ -383,7 +361,11 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 	st.AverageEdgesLazy(edges[start:], eu, ev)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements gossip.Algorithm: one tick with eager
+// (incremental) moment updates, one moment read. An internal edge
+// averages, a swap-capable cut edge advances the epoch counter and swaps
+// on the epoch boundary, and any other cut edge makes no update (paper,
+// Section 1.0.1).
 func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 	if a.isCut[e] {
 		if e == a.ec || a.ec < 0 {
@@ -398,7 +380,7 @@ func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 // Values implements gossip.Algorithm.
 func (a *SparseCutAveraging) Values() []float64 { return a.st.Values() }
 
-// CopyInto implements gossip.ValueCopier.
+// CopyInto implements gossip.Algorithm.
 func (a *SparseCutAveraging) CopyInto(dst []float64) { a.st.CopyInto(dst) }
 
 // Mean implements gossip.Algorithm.

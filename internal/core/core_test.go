@@ -133,7 +133,7 @@ func TestSwapAnnihilatesSideMeansExactWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := a.CutEdge()
-	a.HandleTick(ec, 1.0) // first tick of ec fires the swap (1 % 1 == 0)
+	a.TickEdgeVar(ec, 1.0) // first tick of ec fires the swap (1 % 1 == 0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-0.5) > 1e-12 || math.Abs(mu2-0.5) > 1e-12 {
 		t.Errorf("side means after exact swap = (%v, %v), want (0.5, 0.5)", mu1, mu2)
@@ -158,7 +158,7 @@ func TestSwapPaperWeightExchangesMeansOnEqualSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.HandleTick(a.CutEdge(), 1.0)
+	a.TickEdgeVar(a.CutEdge(), 1.0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-(-1)) > 1e-12 || math.Abs(mu2-1) > 1e-12 {
 		t.Errorf("paper-weight swap on equal sides gave (%v, %v), want (-1, 1)", mu1, mu2)
@@ -175,7 +175,7 @@ func TestSwapPreservesSum(t *testing.T) {
 		}
 		sum0 := a.Mean() * float64(g.NumNodes())
 		for k := 0; k < 10; k++ {
-			a.HandleTick(a.CutEdge(), float64(k))
+			a.TickEdgeVar(a.CutEdge(), float64(k))
 		}
 		if math.Abs(a.Mean()*float64(g.NumNodes())-sum0) > 1e-9 {
 			t.Errorf("rule %v: sum drifted", rule)
@@ -200,7 +200,7 @@ func TestNonDesignatedCutEdgeIsNoOp(t *testing.T) {
 		t.Fatal("no non-designated cut edge")
 	}
 	before := a.Values()
-	a.HandleTick(other, 0.5)
+	a.TickEdgeVar(other, 0.5)
 	after := a.Values()
 	for i := range before {
 		if before[i] != after[i] {
@@ -220,7 +220,7 @@ func TestInternalEdgeAverages(t *testing.T) {
 	if !ok {
 		t.Fatal("edge 0-1 missing")
 	}
-	a.HandleTick(e, 0.1)
+	a.TickEdgeVar(e, 0.1)
 	vals := a.Values()
 	if vals[0] != 3 || vals[1] != 3 {
 		t.Errorf("internal tick gave %v", vals[:2])
@@ -234,7 +234,7 @@ func TestSwapOnlyEveryKthTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 14; k++ {
-		a.HandleTick(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge(), float64(k))
 	}
 	if a.Swaps() != 2 { // ticks 5 and 10
 		t.Errorf("swaps = %d after 14 ticks with K=5, want 2", a.Swaps())
@@ -250,7 +250,7 @@ func TestSwapListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 6; k++ {
-		a.HandleTick(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge(), float64(k))
 	}
 	if len(events) != 3 {
 		t.Fatalf("listener saw %d events, want 3", len(events))
@@ -311,7 +311,7 @@ func TestAllCutEdgesMode(t *testing.T) {
 	}
 	// Ticking each of the 4 cut edges once gives 4 shared ticks = 1 swap.
 	for _, id := range p.CutEdges() {
-		a.HandleTick(id, 1)
+		a.TickEdgeVar(id, 1)
 	}
 	if a.Swaps() != 1 {
 		t.Errorf("swaps = %d, want 1", a.Swaps())
@@ -361,66 +361,158 @@ func TestEpochFormulaMatchesPaper(t *testing.T) {
 	}
 }
 
-// The fused kernel path must produce bit-identical value trajectories to
-// the legacy HandleTick path, including across non-convex swaps, and the
-// swap listeners must fire at identical times and indices.
-func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
+// tickLog is a sim.TickKernel that only records the ticked edges, so a
+// test can replay an engine's event sequence through the reference.
+type tickLog struct{ edges []graph.EdgeID }
+
+func (l *tickLog) TickEdges(edges []graph.EdgeID, _ []float64) { l.edges = append(l.edges, edges...) }
+
+func (l *tickLog) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
+	l.edges = append(l.edges, e)
+	return 0
+}
+
+func (l *tickLog) Variance() float64 { return 0 }
+
+// recordTicks returns the event sequence of events ticks of an engine on g
+// seeded with seed, and the time of the last one.
+func recordTicks(t *testing.T, g *graph.Graph, seed uint64, events int64) ([]graph.EdgeID, float64) {
+	t.Helper()
+	log := &tickLog{}
+	eng, err := sim.NewEngine(g, log, sim.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tEnd, _ := eng.RunEvents(events)
+	return log.edges, tEnd
+}
+
+// referenceA is the independent per-event oracle for Algorithm A: a plain
+// value slice, centred by the initial mean exactly as gossip.State stores
+// it, with Section 1.0.1's rule written out inline and no moment
+// bookkeeping. ec < 0 selects all-cut-edges mode. It returns the final
+// values and the number of swaps.
+func referenceA(part *graph.Partition, x0 []float64, ec graph.EdgeID, k int64, w float64, ticks []graph.EdgeID) ([]float64, int64) {
+	g := part.Graph()
+	off := 0.0
+	for _, v := range x0 {
+		off += v
+	}
+	off /= float64(len(x0))
+	y := make([]float64, len(x0))
+	for i, v := range x0 {
+		y[i] = v - off
+	}
+	var cutTicks, swaps int64
+	for _, e := range ticks {
+		edge := g.Edge(e)
+		i, j := int(edge.U), int(edge.V)
+		switch {
+		case !part.IsCutEdge(e):
+			m := ((y[i] + off) + (y[j] + off)) / 2
+			y[i], y[j] = m-off, m-off
+		case ec < 0 || e == ec:
+			cutTicks++
+			if cutTicks%k != 0 {
+				continue
+			}
+			if part.SideOf(edge.U) != graph.Side1 {
+				i, j = j, i
+			}
+			xu, xv := y[i]+off, y[j]+off
+			d := w * (xv - xu)
+			y[i], y[j] = xu+d-off, xv-d-off
+			swaps++
+		}
+	}
+	for i := range y {
+		y[i] += off
+	}
+	return y, swaps
+}
+
+// enginePaths are the three ways an engine drives an algorithm: the fused
+// batch loop, the per-event loop and the estimator's tracked loop, each
+// for events ticks ending at tEnd.
+func enginePaths(events int64, tEnd float64) []struct {
+	name string
+	run  func(*sim.Engine)
+} {
+	return []struct {
+		name string
+		run  func(*sim.Engine)
+	}{
+		{"fused", func(e *sim.Engine) { e.RunEvents(events) }},
+		{"eager", func(e *sim.Engine) { e.Run(sim.MaxEvents(events)) }},
+		// StopLevel -1 never stops early; the run ends at the first event
+		// time >= tEnd, which is exactly the events-th event.
+		{"tracked", func(e *sim.Engine) { e.RunTracked(sim.Tracked{ExceedLevel: 1, StopLevel: -1, MaxTime: tEnd}) }},
+	}
+}
+
+// shiftedIndicator is the cut indicator moved off its zero mean, so the
+// centring offset's round trip is part of what the reference compares.
+func shiftedIndicator(part *graph.Partition) []float64 {
+	x0 := gossip.CutIndicator(part)
+	for i := range x0 {
+		x0[i] += 1.0 / 3
+	}
+	return x0
+}
+
+func requireBitIdentical(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d = %v, reference %v (not bit-identical)", label, i, got[i], want[i])
+		}
+	}
+}
+
+// Every engine path must produce values bit-identical to the reference
+// replay, including across non-convex swaps, and the swap listener must
+// see identical times, indices and variances on every path.
+func TestAlgorithmAKernelBitIdenticalToReference(t *testing.T) {
 	g, part, err := graph.Dumbbell(16, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := gossip.CutIndicator(part)
-	type swapRec struct {
-		at        float64
-		index     int64
-		varBefore float64
-		varAfter  float64
-	}
-	build := func(rec *[]swapRec) *SparseCutAveraging {
-		a, err := New(g, x0, WithPartition(part), WithEpochTicks(3),
-			WithSwapListener(func(ev SwapEvent) {
-				*rec = append(*rec, swapRec{at: ev.Time, index: ev.Index, varBefore: ev.VarBefore, varAfter: ev.VarAfter})
-			}))
+	x0 := shiftedIndicator(part)
+	const (
+		seed   = 13
+		events = 30000
+		k      = 3
+	)
+	ticks, tEnd := recordTicks(t, g, seed, events)
+	var swapsRef []SwapEvent
+	for _, p := range enginePaths(events, tEnd) {
+		var swaps []SwapEvent
+		a, err := New(g, x0, WithPartition(part), WithEpochTicks(k),
+			WithSwapListener(func(ev SwapEvent) { swaps = append(swaps, ev) }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
-	}
-	var swapsL, swapsF []swapRec
-	legacy := build(&swapsL)
-	fused := build(&swapsF)
-	engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engF, err := sim.NewEngine(g, fused, sim.WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const events = 30000
-	tL, _ := engL.Run(sim.MaxEvents(events))
-	tF, _ := engF.RunEvents(events)
-	if tL != tF {
-		t.Fatalf("end time %v legacy vs %v fused", tL, tF)
-	}
-	if legacy.Swaps() == 0 {
-		t.Fatal("no swaps fired; test covers nothing")
-	}
-	if legacy.Swaps() != fused.Swaps() {
-		t.Fatalf("%d swaps legacy vs %d fused", legacy.Swaps(), fused.Swaps())
-	}
-	if len(swapsL) != len(swapsF) {
-		t.Fatalf("%d listener events legacy vs %d fused", len(swapsL), len(swapsF))
-	}
-	for i := range swapsL {
-		if swapsL[i] != swapsF[i] {
-			t.Fatalf("swap %d: %+v legacy vs %+v fused", i, swapsL[i], swapsF[i])
+		eng, err := sim.NewEngine(g, a, sim.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	vL, vF := legacy.Values(), fused.Values()
-	for i := range vL {
-		if math.Float64bits(vL[i]) != math.Float64bits(vF[i]) {
-			t.Fatalf("value %d = %v legacy vs %v fused (not bit-identical)", i, vL[i], vF[i])
+		p.run(eng)
+		want, wantSwaps := referenceA(part, x0, a.CutEdge(), k, a.Weight(), ticks)
+		if wantSwaps == 0 {
+			t.Fatal("no swaps fired; test covers nothing")
+		}
+		if a.Swaps() != wantSwaps || int64(len(swaps)) != wantSwaps {
+			t.Fatalf("%s: %d swaps (%d listener events), reference %d", p.name, a.Swaps(), len(swaps), wantSwaps)
+		}
+		requireBitIdentical(t, p.name, a.Values(), want)
+		if swapsRef == nil {
+			swapsRef = swaps
+			continue
+		}
+		for i := range swapsRef {
+			if swaps[i] != swapsRef[i] {
+				t.Fatalf("%s: swap %d: %+v, fused %+v", p.name, i, swaps[i], swapsRef[i])
+			}
 		}
 	}
 }
@@ -432,32 +524,46 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := gossip.CutIndicator(part)
-	build := func() *SparseCutAveraging {
-		a, err := New(g, x0, WithPartition(part), WithEpochTicks(5), WithAllCutEdges())
+	x0 := shiftedIndicator(part)
+	const (
+		seed   = 31
+		events = 20000
+		k      = 5
+	)
+	ticks, tEnd := recordTicks(t, g, seed, events)
+	for _, p := range enginePaths(events, tEnd) {
+		a, err := New(g, x0, WithPartition(part), WithEpochTicks(k), WithAllCutEdges())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		eng, err := sim.NewEngine(g, a, sim.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.run(eng)
+		want, wantSwaps := referenceA(part, x0, -1, k, a.Weight(), ticks)
+		if wantSwaps == 0 || a.Swaps() != wantSwaps {
+			t.Fatalf("%s: %d swaps, reference %d", p.name, a.Swaps(), wantSwaps)
+		}
+		requireBitIdentical(t, p.name, a.Values(), want)
 	}
-	legacy, fused := build(), build()
-	engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engF, err := sim.NewEngine(g, fused, sim.WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engL.Run(sim.MaxEvents(20000))
-	engF.RunEvents(20000)
-	if legacy.Swaps() == 0 || legacy.Swaps() != fused.Swaps() {
-		t.Fatalf("swaps: %d legacy vs %d fused", legacy.Swaps(), fused.Swaps())
-	}
-	vL, vF := legacy.Values(), fused.Values()
-	for i := range vL {
-		if math.Float64bits(vL[i]) != math.Float64bits(vF[i]) {
-			t.Fatalf("value %d = %v legacy vs %v fused", i, vL[i], vF[i])
+}
+
+// NaN compares false with every bound, so each range check on outside
+// input must be written to fail closed on it.
+func TestRejectsNaN(t *testing.T) {
+	g, p := dumbbell(t, 4, 4, 1)
+	x0 := gossip.CutIndicator(p)
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		opt  Option
+	}{
+		{"custom weight", WithWeight(nan)},
+		{"epoch constant", WithEpochConstant(nan)},
+	} {
+		if _, err := New(g, x0, WithPartition(p), c.opt); err == nil {
+			t.Errorf("%s: NaN accepted", c.name)
 		}
 	}
 }

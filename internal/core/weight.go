@@ -76,7 +76,7 @@ func weightFor(rule WeightRule, custom float64, p *graph.Partition) (float64, er
 	case WeightPaper:
 		return PaperWeight(p), nil
 	case WeightCustom:
-		if custom <= 0 {
+		if !(0 < custom) {
 			return 0, fmt.Errorf("core: custom weight %v must be positive", custom)
 		}
 		return custom, nil

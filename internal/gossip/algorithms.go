@@ -8,40 +8,38 @@ import (
 )
 
 // Algorithm is a distributed averaging process driven by edge clock ticks.
-// It extends sim.Handler (HandleTick has the same signature) with the
-// observables the averaging-time estimator needs.
+// It is the one contract every engine drives: the tick methods are exactly
+// sim.TickKernel's, so any Algorithm can be handed to sim.NewEngine, and
+// the rest are the observables the estimators and trajectory samplers read.
 type Algorithm interface {
 	// Name identifies the algorithm in tables and traces.
 	Name() string
-	// HandleTick applies the algorithm's update for a tick of edge e at
-	// simulated time t.
-	HandleTick(e graph.EdgeID, t float64)
+	// TickEdges applies the update for a batch of ticks: edges[k] ticked at
+	// times[k], in order. It may defer the moment bookkeeping to the next
+	// moment read.
+	TickEdges(edges []graph.EdgeID, times []float64)
+	// TickEdgeVar applies the update for one tick of edge e at simulated
+	// time t and returns the resulting varX. The values it leaves are
+	// bit-identical to TickEdges on the same ticks.
+	TickEdgeVar(e graph.EdgeID, t float64) float64
+	// Variance returns the paper's varX of the current values.
+	Variance() float64
 	// Values returns a copy of the current value vector.
 	Values() []float64
+	// CopyInto writes the current value vector into dst (len must equal
+	// the node count) — the allocation-free counterpart of Values.
+	CopyInto(dst []float64)
 	// Mean returns the current average (invariant for sum-preserving
 	// algorithms).
 	Mean() float64
-	// Variance returns the paper's varX of the current values.
-	Variance() float64
-}
-
-// ValueCopier is the optional allocation-free counterpart of Values: all
-// algorithms in this repository implement it, and trajectory samplers
-// assert for it to poll into a reused buffer. It is deliberately not part
-// of Algorithm so external Algorithm implementations keep compiling.
-type ValueCopier interface {
-	// CopyInto writes the current value vector into dst (len must equal
-	// the node count).
-	CopyInto(dst []float64)
 }
 
 // Vanilla is the paper's baseline: a tick of edge (i, j) replaces both
 // endpoint values with their arithmetic mean. It is the α = 1/2 member of
 // class C and the algorithm whose averaging time defines Tvan.
 type Vanilla struct {
-	g      *graph.Graph
 	st     *State
-	eu, ev []int32 // flat endpoint arrays of g, for the fused kernel
+	eu, ev []int32 // flat endpoint arrays of g
 }
 
 // NewVanilla builds vanilla gossip on g with initial values x0. It returns
@@ -50,28 +48,19 @@ func NewVanilla(g *graph.Graph, x0 []float64) (*Vanilla, error) {
 	if len(x0) != g.NumNodes() {
 		return nil, fmt.Errorf("gossip: %d initial values for %d nodes", len(x0), g.NumNodes())
 	}
-	return &Vanilla{g: g, st: NewState(x0), eu: g.EdgeU(), ev: g.EdgeV()}, nil
+	return &Vanilla{st: NewState(x0), eu: g.EdgeU(), ev: g.EdgeV()}, nil
 }
 
 // Name implements Algorithm.
 func (v *Vanilla) Name() string { return "vanilla" }
 
-// HandleTick implements Algorithm.
-func (v *Vanilla) HandleTick(e graph.EdgeID, _ float64) {
-	edge := v.g.Edge(e)
-	i, j := int(edge.U), int(edge.V)
-	avg := (v.st.Get(i) + v.st.Get(j)) / 2
-	v.st.Set(i, avg)
-	v.st.Set(j, avg)
-}
-
-// TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event (moments resync on the next read).
+// TickEdges implements Algorithm: the fused batch loop (moments resync on
+// the next read).
 func (v *Vanilla) TickEdges(edges []graph.EdgeID, _ []float64) {
 	v.st.AverageEdgesLazy(edges, v.eu, v.ev)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements Algorithm: one tick, one moment read.
 func (v *Vanilla) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 	v.st.AverageEdge(int(v.eu[e]), int(v.ev[e]))
 	return v.st.Variance()
@@ -80,7 +69,7 @@ func (v *Vanilla) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 // Values implements Algorithm.
 func (v *Vanilla) Values() []float64 { return v.st.Values() }
 
-// CopyInto implements ValueCopier.
+// CopyInto implements Algorithm.
 func (v *Vanilla) CopyInto(dst []float64) { v.st.CopyInto(dst) }
 
 // Mean implements Algorithm.
@@ -99,7 +88,6 @@ func (v *Vanilla) Variance() float64 { return v.st.Variance() }
 // α closer to 1 is "lazier". All members preserve the sum and never
 // increase the variance — the properties Theorem 1's lower bound exploits.
 type Convex struct {
-	g      *graph.Graph
 	st     *State
 	alpha  float64
 	eu, ev []int32
@@ -108,13 +96,13 @@ type Convex struct {
 // NewConvex builds α-gossip on g. It returns an error for α outside [0, 1]
 // or a length mismatch.
 func NewConvex(g *graph.Graph, x0 []float64, alpha float64) (*Convex, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(0 <= alpha && alpha <= 1) {
 		return nil, fmt.Errorf("gossip: alpha %v outside [0,1]", alpha)
 	}
 	if len(x0) != g.NumNodes() {
 		return nil, fmt.Errorf("gossip: %d initial values for %d nodes", len(x0), g.NumNodes())
 	}
-	return &Convex{g: g, st: NewState(x0), alpha: alpha, eu: g.EdgeU(), ev: g.EdgeV()}, nil
+	return &Convex{st: NewState(x0), alpha: alpha, eu: g.EdgeU(), ev: g.EdgeV()}, nil
 }
 
 // Name implements Algorithm.
@@ -123,22 +111,13 @@ func (c *Convex) Name() string { return fmt.Sprintf("convex(alpha=%.3g)", c.alph
 // Alpha returns the mixing parameter.
 func (c *Convex) Alpha() float64 { return c.alpha }
 
-// HandleTick implements Algorithm.
-func (c *Convex) HandleTick(e graph.EdgeID, _ float64) {
-	edge := c.g.Edge(e)
-	i, j := int(edge.U), int(edge.V)
-	xi, xj := c.st.Get(i), c.st.Get(j)
-	c.st.Set(i, c.alpha*xi+(1-c.alpha)*xj)
-	c.st.Set(j, c.alpha*xj+(1-c.alpha)*xi)
-}
-
-// TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event (moments resync on the next read).
+// TickEdges implements Algorithm: the fused batch loop (moments resync on
+// the next read).
 func (c *Convex) TickEdges(edges []graph.EdgeID, _ []float64) {
 	c.st.ConvexEdgesLazy(edges, c.eu, c.ev, c.alpha)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements Algorithm: one tick, one moment read.
 func (c *Convex) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 	c.st.ConvexEdge(int(c.eu[e]), int(c.ev[e]), c.alpha)
 	return c.st.Variance()
@@ -147,7 +126,7 @@ func (c *Convex) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 // Values implements Algorithm.
 func (c *Convex) Values() []float64 { return c.st.Values() }
 
-// CopyInto implements ValueCopier.
+// CopyInto implements Algorithm.
 func (c *Convex) CopyInto(dst []float64) { c.st.CopyInto(dst) }
 
 // Mean implements Algorithm.
@@ -163,7 +142,6 @@ func (c *Convex) Variance() float64 { return c.st.Variance() }
 // lower bound; it is included to show the bound is about convexity, not
 // about any particular update rule.
 type PushSum struct {
-	g      *graph.Graph
 	s      []float64
 	w      []float64
 	est    *State // estimates s/w, kept in sync for O(1) variance
@@ -181,7 +159,6 @@ func NewPushSum(g *graph.Graph, x0 []float64, r *rng.RNG) (*PushSum, error) {
 		return nil, fmt.Errorf("gossip: push-sum requires an RNG")
 	}
 	p := &PushSum{
-		g:  g,
 		s:  append([]float64(nil), x0...),
 		w:  make([]float64, len(x0)),
 		r:  r,
@@ -198,51 +175,31 @@ func NewPushSum(g *graph.Graph, x0 []float64, r *rng.RNG) (*PushSum, error) {
 // Name implements Algorithm.
 func (p *PushSum) Name() string { return "push-sum" }
 
-// HandleTick implements Algorithm.
-func (p *PushSum) HandleTick(e graph.EdgeID, _ float64) {
-	edge := p.g.Edge(e)
-	from, to := int(edge.U), int(edge.V)
-	if p.r.Float64() < 0.5 {
-		from, to = to, from
-	}
-	halfS, halfW := p.s[from]/2, p.w[from]/2
-	p.s[from] -= halfS
-	p.w[from] -= halfW
-	p.s[to] += halfS
-	p.w[to] += halfW
-	p.est.Set(from, p.s[from]/p.w[from])
-	p.est.Set(to, p.s[to]/p.w[to])
-}
-
 // tickPair applies one push-sum exchange between the endpoints i, j of a
-// ticked edge, bit-identical in the mass vectors and estimates to
-// HandleTick's body. When lazy is set the estimate moments are deferred to
-// the next moment read.
+// ticked edge: a fair coin from the algorithm's stream picks the sender.
+// When lazy is set the estimate moments are deferred to the next moment
+// read.
 func (p *PushSum) tickPair(i, j int, lazy bool) {
 	from, to := i, j
 	if p.r.Float64() < 0.5 {
 		from, to = to, from
 	}
-	halfS, halfW := p.s[from]/2, p.w[from]/2
-	p.s[from] -= halfS
-	p.w[from] -= halfW
-	p.s[to] += halfS
-	p.w[to] += halfW
+	ef, et := pushSumPair(p.s, p.w, from, to)
 	if lazy {
-		p.est.Set2Lazy(from, to, p.s[from]/p.w[from], p.s[to]/p.w[to])
+		p.est.Set2Lazy(from, to, ef, et)
 	} else {
-		p.est.Set2(from, to, p.s[from]/p.w[from], p.s[to]/p.w[to])
+		p.est.Set2(from, to, ef, et)
 	}
 }
 
-// TickEdges implements sim.TickKernel.
+// TickEdges implements Algorithm.
 func (p *PushSum) TickEdges(edges []graph.EdgeID, _ []float64) {
 	for _, e := range edges {
 		p.tickPair(int(p.eu[e]), int(p.ev[e]), true)
 	}
 }
 
-// TickEdgeVar implements sim.TickKernel.
+// TickEdgeVar implements Algorithm.
 func (p *PushSum) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 	p.tickPair(int(p.eu[e]), int(p.ev[e]), false)
 	return p.est.Variance()
@@ -251,7 +208,7 @@ func (p *PushSum) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 // Values implements Algorithm (the per-node estimates s/w).
 func (p *PushSum) Values() []float64 { return p.est.Values() }
 
-// CopyInto implements ValueCopier.(the per-node estimates s/w).
+// CopyInto implements Algorithm (the per-node estimates s/w).
 func (p *PushSum) CopyInto(dst []float64) { p.est.CopyInto(dst) }
 
 // Mean implements Algorithm. Note push-sum preserves total mass Σs and

@@ -121,9 +121,7 @@ func (b *BatchState) AverageEdgeBatch(rep int, edges []graph.EdgeID, eu, ev []in
 	row, off := b.row(rep), b.offset
 	for _, e := range edges {
 		i, j := eu[e], ev[e]
-		yi, yj := row[i], row[j]
-		c := ((yi + off) + (yj + off)) / 2
-		c -= off
+		c := averagePair(row[i], row[j], off)
 		row[i] = c
 		row[j] = c
 	}
@@ -134,12 +132,9 @@ func (b *BatchState) AverageEdgeBatch(rep int, edges []graph.EdgeID, eu, ev []in
 // parameter alpha.
 func (b *BatchState) ConvexEdgeBatch(rep int, edges []graph.EdgeID, eu, ev []int32, alpha float64) {
 	row, off := b.row(rep), b.offset
-	beta := 1 - alpha
 	for _, e := range edges {
 		i, j := eu[e], ev[e]
-		xi, xj := row[i]+off, row[j]+off
-		row[i] = alpha*xi + beta*xj - off
-		row[j] = alpha*xj + beta*xi - off
+		row[i], row[j] = convexPair(row[i], row[j], off, alpha)
 	}
 	b.dirty[rep] = true
 }
@@ -169,8 +164,7 @@ func (b *BatchState) AverageEdgeBatchTracked(rep int, edges []graph.EdgeID, eu, 
 	for k, e := range edges {
 		i, j := eu[e], ev[e]
 		yi, yj := row[i], row[j]
-		c := ((yi + off) + (yj + off)) / 2
-		c -= off
+		c := averagePair(yi, yj, off)
 		row[i] = c
 		row[j] = c
 		sum += c - yi
@@ -196,9 +190,7 @@ func (b *BatchState) ConvexEdgeBatchTracked(rep int, edges []graph.EdgeID, eu, e
 	for k, e := range edges {
 		i, j := eu[e], ev[e]
 		yi, yj := row[i], row[j]
-		xi, xj := yi+off, yj+off
-		ci := alpha*xi + (1-alpha)*xj - off
-		cj := alpha*xj + (1-alpha)*xi - off
+		ci, cj := convexPair(yi, yj, off, alpha)
 		row[i] = ci
 		row[j] = cj
 		sum += ci - yi
@@ -328,7 +320,7 @@ type ConvexEnsemble struct {
 
 // NewConvexEnsemble builds R replicas of α-gossip on g.
 func NewConvexEnsemble(g *graph.Graph, x0 []float64, alpha float64, replicas int) (*ConvexEnsemble, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(0 <= alpha && alpha <= 1) {
 		return nil, fmt.Errorf("gossip: alpha %v outside [0,1]", alpha)
 	}
 	if len(x0) != g.NumNodes() {
@@ -362,7 +354,7 @@ func (c *ConvexEnsemble) CopyInto(rep int, dst []float64) { c.bs.CopyInto(rep, d
 // PushSumEnsemble is the replica-batched counterpart of PushSum: the mass
 // pairs (s, w) are stored replica-major like the estimates, and each
 // replica draws its direction coins from its own stream — the same
-// per-trial stream separation as the legacy estimator.
+// per-trial stream separation as the per-event estimator.
 type PushSumEnsemble struct {
 	bs      *BatchState // estimates s/w
 	s, w    []float64   // replica-major mass arrays
@@ -406,20 +398,16 @@ func NewPushSumEnsemble(g *graph.Graph, x0 []float64, streams []*rng.RNG) (*Push
 // Replicas implements sim.BatchKernel.
 func (p *PushSumEnsemble) Replicas() int { return len(p.streams) }
 
-// tick applies one push-sum exchange on replica rep's mass rows and
-// returns the endpoints (post-swap) and their new estimates. The mass
-// arithmetic is bit-identical to PushSum.tickPair.
+// tick applies one push-sum exchange on replica rep's mass rows, with the
+// direction coin from the replica's own stream, and returns the endpoints
+// (post-swap) and their new estimates.
 func (p *PushSumEnsemble) tick(rep int, e graph.EdgeID, s, w []float64) (from, to int, estFrom, estTo float64) {
 	from, to = int(p.eu[e]), int(p.ev[e])
 	if p.streams[rep].Float64() < 0.5 {
 		from, to = to, from
 	}
-	halfS, halfW := s[from]/2, w[from]/2
-	s[from] -= halfS
-	w[from] -= halfW
-	s[to] += halfS
-	w[to] += halfW
-	return from, to, s[from] / w[from], s[to] / w[to]
+	estFrom, estTo = pushSumPair(s, w, from, to)
+	return from, to, estFrom, estTo
 }
 
 // TickChunk implements sim.BatchKernel (untracked, lazy estimate moments).

@@ -163,7 +163,7 @@ func TestPushSumEnsembleMatchesLegacy(t *testing.T) {
 		ens.TickChunkTracked(1, picks[lo:hi], level)
 	}
 	for _, e := range picks {
-		legacy.HandleTick(e, 0)
+		legacy.TickEdgeVar(e, 0)
 	}
 	got := make([]float64, g.NumNodes())
 	ens.CopyInto(1, got)

@@ -115,12 +115,11 @@ func (s *FlatState) Variance() float64 {
 	return v
 }
 
-// average replays State.AverageEdge's uncentred arithmetic for the pair
-// (i, j) and returns the moment deltas.
+// average applies the vanilla exchange to the pair (i, j) and returns
+// the moment deltas.
 func (s *FlatState) average(i, j int32) (dSum, dSumSq float64) {
 	yi, yj := s.y[i], s.y[j]
-	c := ((yi + s.off) + (yj + s.off)) / 2
-	c -= s.off
+	c := averagePair(yi, yj, s.off)
 	s.y[i] = c
 	s.y[j] = c
 	cc := c * c
@@ -150,8 +149,7 @@ func (s *FlatState) TickTile(t int, us, vs []int32) {
 // barrier phase.
 func (s *FlatState) Exchange(u, v int32) {
 	yi, yj := s.y[u], s.y[v]
-	c := ((yi + s.off) + (yj + s.off)) / 2
-	c -= s.off
+	c := averagePair(yi, yj, s.off)
 	s.y[u] = c
 	s.y[v] = c
 	cc := c * c

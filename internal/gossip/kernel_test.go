@@ -9,59 +9,137 @@ import (
 	"sparsecut/internal/sim"
 )
 
-// The fused kernel path (RunEvents + TickEdges) must produce bit-identical
-// value trajectories to the legacy HandleTick path through the generic Run
-// loop, for the same seed.
-func TestKernelBitIdenticalToHandleTick(t *testing.T) {
-	g, part, err := graph.Dumbbell(24, 24, 2)
+// tickLog is a sim.TickKernel that only records the ticked edges, so a
+// test can replay an engine's event sequence through a reference.
+type tickLog struct{ edges []graph.EdgeID }
+
+func (l *tickLog) TickEdges(edges []graph.EdgeID, _ []float64) { l.edges = append(l.edges, edges...) }
+
+func (l *tickLog) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
+	l.edges = append(l.edges, e)
+	return 0
+}
+
+func (l *tickLog) Variance() float64 { return 0 }
+
+// referenceGossip is the independent per-event oracle for the gossip
+// rules: a plain value slice, centred by the initial mean exactly as the
+// state layouts store it, with each rule written out inline and no moment
+// bookkeeping. coins drives push-sum's direction choice.
+func referenceGossip(rule string, g *graph.Graph, x0 []float64, alpha float64, coins *rng.RNG, ticks []graph.EdgeID) []float64 {
+	n := len(x0)
+	off := 0.0
+	for _, v := range x0 {
+		off += v
+	}
+	off /= float64(n)
+	y := make([]float64, n)
+	s := append([]float64(nil), x0...)
+	w := make([]float64, n)
+	for i, v := range x0 {
+		y[i] = v - off
+		w[i] = 1
+	}
+	for _, e := range ticks {
+		i, j := int(g.Edge(e).U), int(g.Edge(e).V)
+		xi, xj := y[i]+off, y[j]+off
+		switch rule {
+		case "vanilla":
+			m := (xi + xj) / 2
+			y[i], y[j] = m-off, m-off
+		case "convex":
+			y[i] = alpha*xi + (1-alpha)*xj - off
+			y[j] = alpha*xj + (1-alpha)*xi - off
+		case "push-sum":
+			if coins.Float64() < 0.5 {
+				i, j = j, i
+			}
+			hs, hw := s[i]/2, w[i]/2
+			s[i], w[i] = s[i]-hs, w[i]-hw
+			s[j], w[j] = s[j]+hs, w[j]+hw
+			y[i], y[j] = s[i]/w[i]-off, s[j]/w[j]-off
+		default:
+			panic("unknown rule " + rule)
+		}
+	}
+	for i := range y {
+		y[i] += off
+	}
+	return y
+}
+
+// Every engine path — the fused batch loop (RunEvents → TickEdges), the
+// per-event loop (Run → TickEdgeVar) and the estimator's tracked loop
+// (RunTracked) — must leave values bit-identical to the reference replay
+// of the same event sequence, for every rule.
+func TestKernelBitIdenticalToReference(t *testing.T) {
+	g, _, err := graph.Dumbbell(24, 24, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := CutIndicator(part)
+	// A generic, far-from-zero mean, so the centring offset's round trip
+	// is part of what is compared.
+	x0 := UniformRandom(rng.New(5), g.NumNodes())
+	for i := range x0 {
+		x0[i] += 7
+	}
+	const (
+		seed   = 42
+		events = 20000
+		alpha  = 0.3
+	)
+	log := &tickLog{}
+	engLog, err := sim.NewEngine(g, log, sim.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tEnd, _ := engLog.RunEvents(events)
+
 	builders := []struct {
-		name string
+		rule string
 		make func() (Algorithm, error)
 	}{
 		{"vanilla", func() (Algorithm, error) { return NewVanilla(g, x0) }},
-		{"convex(0.3)", func() (Algorithm, error) { return NewConvex(g, x0, 0.3) }},
+		{"convex", func() (Algorithm, error) { return NewConvex(g, x0, alpha) }},
 		{"push-sum", func() (Algorithm, error) { return NewPushSum(g, x0, rng.New(9)) }},
 	}
-	const events = 20000
+	paths := []struct {
+		name string
+		run  func(*sim.Engine)
+	}{
+		{"fused", func(e *sim.Engine) { e.RunEvents(events) }},
+		{"eager", func(e *sim.Engine) { e.Run(sim.MaxEvents(events)) }},
+		// StopLevel -1 never stops early; the run ends at the first event
+		// time >= tEnd, which is exactly the events-th event.
+		{"tracked", func(e *sim.Engine) { e.RunTracked(sim.Tracked{ExceedLevel: 1, StopLevel: -1, MaxTime: tEnd}) }},
+	}
 	for _, b := range builders {
-		legacy, err := b.make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := b.make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engF, err := sim.NewEngine(g, fused, sim.WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tL, _ := engL.Run(sim.MaxEvents(events))
-		tF, _ := engF.RunEvents(events)
-		if tL != tF {
-			t.Fatalf("%s: end time %v generic vs %v fused", b.name, tL, tF)
-		}
-		vL, vF := legacy.Values(), fused.Values()
-		for i := range vL {
-			if math.Float64bits(vL[i]) != math.Float64bits(vF[i]) {
-				t.Fatalf("%s: value %d = %v legacy vs %v fused (not bit-identical)", b.name, i, vL[i], vF[i])
+		want := referenceGossip(b.rule, g, x0, alpha, rng.New(9), log.edges)
+		wantVar := directVariance(want)
+		for _, p := range paths {
+			alg, err := b.make()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The fused path resyncs moments exactly, the legacy path maintains
-		// them incrementally: they agree to float accumulation error.
-		if d := relDiff(legacy.Variance(), fused.Variance()); d > 1e-9 {
-			t.Errorf("%s: variance %v legacy vs %v fused (rel %g)", b.name, legacy.Variance(), fused.Variance(), d)
-		}
-		if d := relDiff(legacy.Mean(), fused.Mean()); d > 1e-9 {
-			t.Errorf("%s: mean %v legacy vs %v fused (rel %g)", b.name, legacy.Mean(), fused.Mean(), d)
+			eng, err := sim.NewEngine(g, alg, sim.WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.run(eng)
+			if eng.Events() != events || eng.Now() != tEnd {
+				t.Fatalf("%s/%s: ran %d events to t=%v, want %d to t=%v", b.rule, p.name, eng.Events(), eng.Now(), events, tEnd)
+			}
+			got := alg.Values()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s/%s: value %d = %v, reference %v (not bit-identical)", b.rule, p.name, i, got[i], want[i])
+				}
+			}
+			// Incremental and resynced moments agree with the direct
+			// two-pass variance to float accumulation error.
+			if d := relDiff(alg.Variance(), wantVar); d > 1e-9 {
+				t.Errorf("%s/%s: variance %v, reference %v (rel %g)", b.rule, p.name, alg.Variance(), wantVar, d)
+			}
 		}
 	}
 }

@@ -3,11 +3,15 @@
 // Definition 2, and a push-sum baseline — together with the shared value
 // state they (and the paper's Algorithm A in internal/core) operate on.
 //
-// The State type maintains the running sum and sum of squares of the value
-// vector incrementally, so the variance the paper's averaging-time metric
-// needs is available in O(1) after every event rather than O(n).
+// Each exchange rule is written once, as a plain inlinable function
+// (exchange.go); the three state layouts — State (one run), BatchState (R
+// replicas, sim.BatchEngine) and FlatState (tiled, sim.ShardEngine) — call
+// it from their own loops and keep their own moment bookkeeping. State
+// maintains the running sum and sum of squares of the value vector
+// incrementally, so the variance the paper's averaging-time metric needs is
+// available in O(1) after every event rather than O(n).
 //
-// Key types: State (O(1) incremental moments), Algorithm (the tick interface), BatchState and the *Ensemble replica batches. See DESIGN.md §6 (fused kernels) and §8 (replica batching).
+// Key types: Algorithm (the one tick contract: sim.TickKernel's methods plus the observables), State, BatchState and the *Ensemble replica batches, FlatState. See DESIGN.md §6 (fused kernels) and §8 (replica batching).
 package gossip
 
 import (
@@ -73,9 +77,7 @@ func (s *State) Set(i int, v float64) {
 	s.sum += c - old
 	s.sumSq += c*c - old*old
 	s.updates++
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
+	s.resyncIfDue()
 }
 
 // Set2 assigns nodes i and j (i != j) the values vi, vj (original frame)
@@ -83,9 +85,16 @@ func (s *State) Set(i int, v float64) {
 // bit-identical in the stored values to Set(i, vi); Set(j, vj) — the
 // moment arithmetic is applied in the same order.
 func (s *State) Set2(i, j int, vi, vj float64) {
+	s.put2(i, j, vi-s.offset, vj-s.offset)
+	s.resyncIfDue()
+}
+
+// put2 stores the centred values ci, cj at nodes i and j (i != j) with the
+// eager moment bookkeeping every two-point update shares. Callers follow
+// it with resyncIfDue; the check is kept out of put2 so put2 stays small
+// enough to inline.
+func (s *State) put2(i, j int, ci, cj float64) {
 	yi, yj := s.y[i], s.y[j]
-	ci := vi - s.offset
-	cj := vj - s.offset
 	s.y[i] = ci
 	s.y[j] = cj
 	s.sum += ci - yi
@@ -93,55 +102,30 @@ func (s *State) Set2(i, j int, vi, vj float64) {
 	s.sumSq += ci*ci - yi*yi
 	s.sumSq += cj*cj - yj*yj
 	s.updates += 2
+}
+
+// resyncIfDue recomputes the moments once resyncInterval point updates
+// have accumulated.
+func (s *State) resyncIfDue() {
 	if s.updates >= resyncInterval {
 		s.resync()
 	}
 }
 
-// AverageEdge applies the vanilla exchange on the edge {i, j}: both nodes
-// move to their arithmetic mean, with one fused moment update. The
-// arithmetic replicates Get/Get/Set/Set exactly (including the
-// offset round-trips), so the stored values are bit-identical to the
-// unfused sequence — the fused-kernel equivalence tests rely on this.
+// AverageEdge applies the vanilla exchange on the edge {i, j} with one
+// fused moment update.
 func (s *State) AverageEdge(i, j int) {
-	yi, yj := s.y[i], s.y[j]
-	c := ((yi + s.offset) + (yj + s.offset)) / 2
-	c -= s.offset
-	s.y[i] = c
-	s.y[j] = c
-	s.sum += c - yi
-	s.sum += c - yj
-	cc := c * c
-	s.sumSq += cc - yi*yi
-	s.sumSq += cc - yj*yj
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
+	c := averagePair(s.y[i], s.y[j], s.offset)
+	s.put2(i, j, c, c)
+	s.resyncIfDue()
 }
 
 // ConvexEdge applies the class-C exchange with mixing parameter alpha on
-// the edge {i, j}:
-//
-//	x_i ← α·x_i + (1−α)·x_j,  x_j ← α·x_j + (1−α)·x_i(old)
-//
-// with one fused moment update, bit-identical in the stored values to the
-// unfused Get/Set sequence.
+// the edge {i, j} with one fused moment update.
 func (s *State) ConvexEdge(i, j int, alpha float64) {
-	yi, yj := s.y[i], s.y[j]
-	xi, xj := yi+s.offset, yj+s.offset
-	ci := alpha*xi + (1-alpha)*xj - s.offset
-	cj := alpha*xj + (1-alpha)*xi - s.offset
-	s.y[i] = ci
-	s.y[j] = cj
-	s.sum += ci - yi
-	s.sum += cj - yj
-	s.sumSq += ci*ci - yi*yi
-	s.sumSq += cj*cj - yj*yj
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
+	ci, cj := convexPair(s.y[i], s.y[j], s.offset, alpha)
+	s.put2(i, j, ci, cj)
+	s.resyncIfDue()
 }
 
 // AverageEdgesLazy applies the vanilla exchange for every edge of the
@@ -149,15 +133,12 @@ func (s *State) ConvexEdge(i, j int, alpha float64) {
 // values only: the moment bookkeeping is deferred to the next moment read,
 // which recomputes exactly. This is the untracked simulation hot loop —
 // per event it costs two loads, one fused average and two stores, with
-// sum/Σ² chains removed entirely. The stored values are bit-identical to
-// the unfused Get/Set sequence.
+// sum/Σ² chains removed entirely.
 func (s *State) AverageEdgesLazy(edges []graph.EdgeID, eu, ev []int32) {
 	y, off := s.y, s.offset
 	for _, e := range edges {
 		i, j := eu[e], ev[e]
-		yi, yj := y[i], y[j]
-		c := ((yi + off) + (yj + off)) / 2
-		c -= off
+		c := averagePair(y[i], y[j], off)
 		y[i] = c
 		y[j] = c
 	}
@@ -168,12 +149,9 @@ func (s *State) AverageEdgesLazy(edges []graph.EdgeID, eu, ev []int32) {
 // parameter alpha.
 func (s *State) ConvexEdgesLazy(edges []graph.EdgeID, eu, ev []int32, alpha float64) {
 	y, off := s.y, s.offset
-	beta := 1 - alpha
 	for _, e := range edges {
 		i, j := eu[e], ev[e]
-		xi, xj := y[i]+off, y[j]+off
-		y[i] = alpha*xi + beta*xj - off
-		y[j] = alpha*xj + beta*xi - off
+		y[i], y[j] = convexPair(y[i], y[j], off, alpha)
 	}
 	s.dirty = true
 }

@@ -59,7 +59,7 @@ func (s Spec) Resolve() (*Resolved, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown algorithm %q (known: vanilla, convex, pushsum, A)", s.Algo.Name)
 	}
-	if s.Algo.Alpha < 0 || s.Algo.Alpha > 1 {
+	if !(0 <= s.Algo.Alpha && s.Algo.Alpha <= 1) {
 		return nil, fmt.Errorf("scenario: convex alpha %v outside [0,1]", s.Algo.Alpha)
 	}
 	switch s.Algo.Weight {

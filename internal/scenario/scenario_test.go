@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,5 +270,26 @@ func TestAllCutEdgesSpec(t *testing.T) {
 	singleK := singleAlg.(*core.SparseCutAveraging).EpochTicks()
 	if allK <= singleK {
 		t.Errorf("all-cut-edges K=%d not scaled above single-edge K=%d", allK, singleK)
+	}
+}
+
+// NaN compares false with every bound, so each range check on outside
+// input must be written to fail closed on it — at resolve time or, for
+// knobs core.New validates, when the algorithm is built.
+func TestRejectsNaN(t *testing.T) {
+	base := GraphSpec{Family: "dumbbell", N: 16, Cut: 1}
+	nan := math.NaN()
+	for _, a := range []AlgoSpec{
+		{Name: "convex", Alpha: nan},
+		{Name: "A", Weight: "custom", W: nan},
+		{Name: "A", EpochC: nan},
+	} {
+		r, err := Spec{Graph: base, Algo: a, Seed: 3}.Resolve()
+		if err == nil {
+			_, err = r.NewAlgorithm(rng.New(1))
+		}
+		if err == nil {
+			t.Errorf("%+v: NaN accepted", a)
+		}
 	}
 }

@@ -274,7 +274,7 @@ func (be *BatchEngine) RunEvents(n int64) {
 // Engine.RunTracked, evaluated at chunk granularity: a replica stops once
 // its simulated time reaches MaxTime, or once its variance is below
 // StopLevel and Quiet time has passed since its last exceedance, checked
-// before each chunk (so a run may overshoot the legacy stop point by up to
+// before each chunk (so a run may overshoot the per-event stop point by up to
 // one chunk; the recorded last-exceedance statistic is unaffected for
 // variance-monotone algorithms and distributionally indistinguishable
 // otherwise — the avgtime KS tests cover both). It returns one

@@ -8,15 +8,15 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// TickKernel is the fused fast path of the simulator. A Handler that also
-// implements TickKernel lets the engine drive it in batches — event
-// sampling stays inline in the engine (no scheduler interface call per
-// event for the global clock), and the algorithm's per-event update runs
-// in one monomorphic loop per batch instead of one virtual dispatch per
-// event. The kernel methods must apply exactly the same update as
-// HandleTick: the engine guarantees that for any seed the fused run
-// produces bit-identical trajectories to the HandleTick path, and the
-// package tests of the algorithms enforce it.
+// TickKernel is what Engine drives: an algorithm's update applied at edge
+// clock ticks, in a batch form and a per-event form. The batch form lets
+// the engine keep event sampling inline (no scheduler interface call per
+// event for the global clock) and run the per-event update in one
+// monomorphic loop per batch instead of one virtual dispatch per event.
+// Both forms must leave bit-identical values for the same ticks: the
+// engine guarantees that for any seed the fused and the per-event runs
+// consume identical random streams, and the package tests of the
+// algorithms check both against an independent per-event reference.
 type TickKernel interface {
 	// TickEdges applies the algorithm's update for a batch of ticks:
 	// edges[k] ticked at times[k], in order. len(times) == len(edges).
@@ -33,17 +33,6 @@ type TickKernel interface {
 // call. Scratch cost is two small arrays per engine; larger batches stop
 // paying once the virtual-dispatch amortisation is negligible.
 const batchSize = 256
-
-// kernel reports whether the fused fast path applies: the handler
-// implements TickKernel and no per-event observers are registered (the
-// empty-observer fast path).
-func (e *Engine) kernel() (TickKernel, bool) {
-	if len(e.observers) != 0 {
-		return nil, false
-	}
-	k, ok := e.handler.(TickKernel)
-	return k, ok
-}
 
 func (e *Engine) ensureBatch() {
 	if e.batchE == nil {
@@ -111,12 +100,12 @@ func (e *Engine) fillUntil(max int, maxT float64) int {
 
 // RunEvents processes events until the cumulative event count reaches n —
 // semantically identical to Run(MaxEvents(n)) — taking the fused kernel
-// fast path when available.
+// fast path when no observers are registered.
 func (e *Engine) RunEvents(n int64) (t float64, events int64) {
-	k, ok := e.kernel()
-	if !ok {
+	if len(e.observers) != 0 {
 		return e.Run(MaxEvents(n))
 	}
+	k := e.kernel
 	e.ensureBatch()
 	for e.events < n {
 		b := e.fillUntil(int(min(n-e.events, batchSize)), math.Inf(1))
@@ -128,12 +117,12 @@ func (e *Engine) RunEvents(n int64) (t float64, events int64) {
 
 // RunUntil processes events until simulated time reaches maxT —
 // semantically identical to Run(Until(maxT)) — taking the fused kernel
-// fast path when available.
+// fast path when no observers are registered.
 func (e *Engine) RunUntil(maxT float64) (t float64, events int64) {
-	k, ok := e.kernel()
-	if !ok {
+	if len(e.observers) != 0 {
 		return e.Run(Until(maxT))
 	}
+	k := e.kernel
 	e.ensureBatch()
 	for e.now < maxT {
 		b := e.fillUntil(batchSize, maxT)
@@ -169,20 +158,15 @@ type TrackedResult struct {
 	Censored bool
 }
 
-// RunTracked drives the engine's handler — which must implement
-// TickKernel, with no observers registered — while tracking the
-// last-exceedance statistic of the averaging-time estimator inline: per
-// event it costs one kernel call and two float compares — no closures, no
-// second variance read. The stop rule matches the estimator's: stop at
-// MaxTime, or once the variance is below StopLevel and Quiet time has
-// passed since the last exceedance. It returns ok = false (running
-// nothing) when the fast path does not apply, so callers fall back to the
-// generic Run loop rather than silently skipping observers.
-func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
-	k, ok := e.kernel()
-	if !ok {
-		return TrackedResult{}, false
-	}
+// RunTracked drives the engine's kernel while tracking the last-exceedance
+// statistic of the averaging-time estimator inline: per event it costs one
+// TickEdgeVar call and two float compares — no closures, no second
+// variance read. The stop rule matches the estimator's: stop at MaxTime,
+// or once the variance is below StopLevel and Quiet time has passed since
+// the last exceedance. Registered observers are invoked after every event,
+// as in Run.
+func (e *Engine) RunTracked(cfg Tracked) TrackedResult {
+	k := e.kernel
 	v := k.Variance()
 	lastExceed := 0.0
 	for {
@@ -199,9 +183,12 @@ func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
 			lastExceed = at
 		}
 		e.events++
+		for _, obs := range e.observers {
+			obs(e.now, e.events)
+		}
 	}
 	return TrackedResult{
 		LastExceed: lastExceed,
 		Censored:   e.now >= cfg.MaxTime && v >= cfg.StopLevel,
-	}, true
+	}
 }

@@ -19,7 +19,7 @@ import (
 // j ticks and picks i (rate 1 · 1/deg(j)). The paper's footnote observes
 // the reverse reduction ("allocating edges to nodes and equipping nodes
 // with multiple i.i.d poisson clocks"); NodeClockRates implements the
-// forward one, so any Handler written for this package runs unchanged
+// forward one, so any TickKernel (every gossip.Algorithm) runs unchanged
 // under the node-clock model:
 //
 //	rates := sim.NodeClockRates(g)

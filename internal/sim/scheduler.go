@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
@@ -11,8 +9,8 @@ import (
 // total rate; each event picks an edge with probability proportional to its
 // rate. Uniform rates use a constant-time Lemire pick; heterogeneous rates
 // use a Walker alias table — also O(1) per event, replacing the former
-// per-event binary search (the cdfSampler below, kept as the reference
-// implementation the tests cross-check against).
+// per-event binary search (kept in the package tests as the reference the
+// alias table is cross-checked against).
 type globalScheduler struct {
 	r         *rng.RNG
 	totalRate float64
@@ -127,35 +125,6 @@ func (t *aliasTable) impliedProb(i int32) float64 {
 	return p / n
 }
 
-// cdfSampler is the pre-alias prefix-sum sampler (O(log n) binary search
-// per pick). It is retained as the reference implementation: the package
-// tests cross-check the alias table's edge-frequency distribution against
-// it on identical weight vectors.
-type cdfSampler struct {
-	cum   []float64
-	total float64
-}
-
-func newCDFSampler(rates []float64) *cdfSampler {
-	c := &cdfSampler{cum: make([]float64, len(rates))}
-	acc := 0.0
-	for i, rate := range rates {
-		acc += rate
-		c.cum[i] = acc
-	}
-	c.total = acc
-	return c
-}
-
-func (c *cdfSampler) pick(r *rng.RNG) int32 {
-	target := r.Float64() * c.total
-	idx := sort.SearchFloat64s(c.cum, target)
-	if idx >= len(c.cum) {
-		idx = len(c.cum) - 1
-	}
-	return int32(idx)
-}
-
 // heapScheduler keeps one exponential timer per edge in a 4-ary min-heap —
 // the paper's model verbatim. After an edge fires, its next tick is
 // resampled, exploiting the memorylessness of the exponential distribution.
@@ -165,7 +134,7 @@ func (c *cdfSampler) pick(r *rng.RNG) int32 {
 // contiguous 64-byte run (heapEntry is 16 bytes), so the per-level scan is
 // a single cache line. Tick times are continuous, so the minimum is unique
 // with probability 1 and the popped event sequence — hence the RNG draw
-// order — is identical to the binary heap's; the fused-versus-legacy
+// order — is identical to the binary heap's; the fused-versus-per-event
 // bit-identity tests pin this.
 type heapScheduler struct {
 	r        *rng.RNG

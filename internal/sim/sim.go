@@ -18,18 +18,6 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// Handler consumes edge clock ticks in simulated-time order.
-type Handler interface {
-	// HandleTick is invoked when edge e ticks at simulated time t.
-	HandleTick(e graph.EdgeID, t float64)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(e graph.EdgeID, t float64)
-
-// HandleTick implements Handler.
-func (f HandlerFunc) HandleTick(e graph.EdgeID, t float64) { f(e, t) }
-
 // Observer is called after every processed event with the current simulated
 // time and the number of events processed so far.
 type Observer func(t float64, events int64)
@@ -86,16 +74,16 @@ func (k SchedulerKind) String() string {
 	}
 }
 
-// Engine drives a Handler with Poisson edge ticks on a fixed graph.
+// Engine drives a TickKernel with Poisson edge ticks on a fixed graph.
 //
-// Run is the general loop (any Handler, observers, arbitrary stop
-// conditions). When the handler also implements TickKernel and no
-// observers are registered, RunEvents, RunUntil and RunTracked take a
-// fused batch path with identical semantics and random-stream consumption
-// — see kernel.go.
+// Run is the general loop (observers, arbitrary stop conditions): one
+// TickEdgeVar per event. When no observers are registered, RunEvents and
+// RunUntil take a fused batch path through TickEdges with identical
+// semantics and random-stream consumption; RunTracked is the estimator's
+// loop — see kernel.go.
 type Engine struct {
 	g         *graph.Graph
-	handler   Handler
+	kernel    TickKernel
 	scheduler scheduler
 	observers []Observer
 	now       float64
@@ -146,11 +134,11 @@ func WithObserver(obs Observer) Option {
 	return func(c *config) { c.observers = append(c.observers, obs) }
 }
 
-// NewEngine builds an engine for g driving handler. It returns an error for
-// a nil handler, an edgeless graph, or invalid rates.
-func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error) {
-	if handler == nil {
-		return nil, errors.New("sim: nil handler")
+// NewEngine builds an engine for g driving kernel. It returns an error for
+// a nil kernel, an edgeless graph, or invalid rates.
+func NewEngine(g *graph.Graph, kernel TickKernel, opts ...Option) (*Engine, error) {
+	if kernel == nil {
+		return nil, errors.New("sim: nil kernel")
 	}
 	if g.NumEdges() == 0 {
 		return nil, fmt.Errorf("sim: %s has no edges to tick", g)
@@ -188,7 +176,7 @@ func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error)
 	}
 	return &Engine{
 		g:         g,
-		handler:   handler,
+		kernel:    kernel,
 		scheduler: sched,
 		observers: cfg.observers,
 	}, nil
@@ -203,9 +191,10 @@ func (e *Engine) Now() float64 { return e.now }
 // Events returns the number of ticks processed so far.
 func (e *Engine) Events() int64 { return e.events }
 
-// Run processes events until stop returns true and reports the final
-// simulated time and cumulative event count. Run may be called repeatedly;
-// simulated time continues from where the previous call stopped.
+// Run processes events until stop returns true, applying each through the
+// kernel's TickEdgeVar, and reports the final simulated time and
+// cumulative event count. Run may be called repeatedly; simulated time
+// continues from where the previous call stopped.
 func (e *Engine) Run(stop StopCondition) (t float64, events int64) {
 	if stop == nil {
 		panic("sim: Run requires a stop condition")
@@ -213,7 +202,7 @@ func (e *Engine) Run(stop StopCondition) (t float64, events int64) {
 	for !stop(e.now, e.events) {
 		edge, at := e.scheduler.next()
 		e.now = at
-		e.handler.HandleTick(edge, at)
+		e.kernel.TickEdgeVar(edge, at)
 		e.events++
 		for _, obs := range e.observers {
 			obs(e.now, e.events)

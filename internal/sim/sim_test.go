@@ -10,15 +10,26 @@ import (
 	"sparsecut/internal/stats"
 )
 
+// countingHandler is a TickKernel that counts ticks per edge and records
+// their times.
 type countingHandler struct {
 	perEdge []int64
 	times   []float64
 }
 
-func (h *countingHandler) HandleTick(e graph.EdgeID, t float64) {
+func (h *countingHandler) TickEdges(edges []graph.EdgeID, times []float64) {
+	for k, e := range edges {
+		h.TickEdgeVar(e, times[k])
+	}
+}
+
+func (h *countingHandler) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 	h.perEdge[e]++
 	h.times = append(h.times, t)
+	return 0
 }
+
+func (h *countingHandler) Variance() float64 { return 0 }
 
 func newCounter(g *graph.Graph) *countingHandler {
 	return &countingHandler{perEdge: make([]int64, g.NumEdges())}
@@ -27,10 +38,10 @@ func newCounter(g *graph.Graph) *countingHandler {
 func TestNewEngineValidation(t *testing.T) {
 	g := graph.Path(3)
 	if _, err := NewEngine(g, nil); err == nil {
-		t.Error("nil handler not rejected")
+		t.Error("nil kernel not rejected")
 	}
 	edgeless := graph.NewBuilder(2).MustBuild()
-	if _, err := NewEngine(edgeless, HandlerFunc(func(graph.EdgeID, float64) {})); err == nil {
+	if _, err := NewEngine(edgeless, newCounter(edgeless)); err == nil {
 		t.Error("edgeless graph not rejected")
 	}
 	if _, err := NewEngine(g, newCounter(g), WithRates([]float64{1})); err == nil {
@@ -305,7 +316,7 @@ func TestAliasTableImpliedProbabilities(t *testing.T) {
 	}
 }
 
-// Seeded statistical cross-check: the alias sampler and the retained
+// Seeded statistical cross-check: the alias sampler and the reference
 // binary-search cdfSampler must realise the same edge-frequency
 // distribution on an identical heterogeneous weight vector.
 func TestAliasMatchesCDFSampler(t *testing.T) {
@@ -340,6 +351,34 @@ func TestAliasMatchesCDFSampler(t *testing.T) {
 	}
 }
 
+// cdfSampler is the pre-alias prefix-sum sampler (O(log n) binary search
+// per pick), kept as the reference implementation the alias table's
+// edge-frequency distribution is cross-checked against.
+type cdfSampler struct {
+	cum   []float64
+	total float64
+}
+
+func newCDFSampler(rates []float64) *cdfSampler {
+	c := &cdfSampler{cum: make([]float64, len(rates))}
+	acc := 0.0
+	for i, rate := range rates {
+		acc += rate
+		c.cum[i] = acc
+	}
+	c.total = acc
+	return c
+}
+
+func (c *cdfSampler) pick(r *rng.RNG) int32 {
+	target := r.Float64() * c.total
+	idx := sort.SearchFloat64s(c.cum, target)
+	if idx >= len(c.cum) {
+		idx = len(c.cum) - 1
+	}
+	return int32(idx)
+}
+
 // GlobalClock (alias path), PerEdgeClocks and the analytic expectation must
 // agree on mean per-edge tick counts under heterogeneous rates.
 func TestSchedulerTickCountAgreement(t *testing.T) {
@@ -370,17 +409,12 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 	}
 }
 
-// recordingKernel implements both Handler and TickKernel, recording every
-// (edge, time) it sees, so the fused loops can be compared bit-for-bit
-// against the generic Run loop.
+// recordingKernel records every (edge, time) it sees, through either
+// method, so the fused loops can be compared bit-for-bit against the
+// per-event Run loop.
 type recordingKernel struct {
 	edges []graph.EdgeID
 	times []float64
-}
-
-func (k *recordingKernel) HandleTick(e graph.EdgeID, t float64) {
-	k.edges = append(k.edges, e)
-	k.times = append(k.times, t)
 }
 
 func (k *recordingKernel) TickEdges(edges []graph.EdgeID, times []float64) {
@@ -389,7 +423,8 @@ func (k *recordingKernel) TickEdges(edges []graph.EdgeID, times []float64) {
 }
 
 func (k *recordingKernel) TickEdgeVar(e graph.EdgeID, t float64) float64 {
-	k.HandleTick(e, t)
+	k.edges = append(k.edges, e)
+	k.times = append(k.times, t)
 	return 0
 }
 
@@ -403,7 +438,7 @@ func runPair(t *testing.T, kind SchedulerKind, seed uint64) (legacy, fused *reco
 	}
 	legacy, fused = &recordingKernel{}, &recordingKernel{}
 	var err error
-	engL, err = NewEngine(g, HandlerFunc(legacy.HandleTick), WithScheduler(kind), WithSeed(seed))
+	engL, err = NewEngine(g, legacy, WithScheduler(kind), WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +450,7 @@ func runPair(t *testing.T, kind SchedulerKind, seed uint64) (legacy, fused *reco
 }
 
 // The fused RunEvents must produce the identical event sequence (edges and
-// times, bit for bit) as the generic Run loop, on both schedulers.
+// times, bit for bit) as the per-event Run loop, on both schedulers.
 func TestRunEventsBitIdenticalToRun(t *testing.T) {
 	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
 		legacy, fused, engL, engF := runPair(t, kind, 99)
@@ -456,8 +491,9 @@ func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
 	}
 }
 
-// An engine with observers must not take the kernel fast path (observers
-// would be skipped); RunEvents falls back to the generic loop.
+// An engine with observers must not take the batch fast path (observers
+// would be skipped); RunEvents falls back to the per-event loop, and
+// RunTracked invokes them too.
 func TestRunEventsRespectsObservers(t *testing.T) {
 	g := graph.Complete(4)
 	k := &recordingKernel{}
@@ -470,10 +506,10 @@ func TestRunEventsRespectsObservers(t *testing.T) {
 	if calls != 50 {
 		t.Errorf("observer called %d times, want 50", calls)
 	}
-	// RunTracked has no generic fallback: with observers present it must
-	// refuse rather than silently skip them.
-	if _, ok := eng.RunTracked(Tracked{StopLevel: -1, MaxTime: 1}); ok {
-		t.Error("RunTracked took the fast path despite observers")
+	calls = 0
+	eng.RunTracked(Tracked{StopLevel: -1, MaxTime: eng.Now() + 1})
+	if want := eng.Events() - 50; int64(calls) != want || want == 0 {
+		t.Errorf("RunTracked called the observer %d times over %d events", calls, want)
 	}
 }
 
@@ -487,10 +523,7 @@ func TestRunTrackedStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := eng.RunTracked(Tracked{ExceedLevel: 1, StopLevel: 0.5, Quiet: 2, MaxTime: 1e6})
-	if !ok {
-		t.Fatal("kernel handler rejected by RunTracked")
-	}
+	res := eng.RunTracked(Tracked{ExceedLevel: 1, StopLevel: 0.5, Quiet: 2, MaxTime: 1e6})
 	if res.Censored {
 		t.Error("censored despite variance below stop level")
 	}
@@ -505,10 +538,7 @@ func TestRunTrackedStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, ok := eng2.RunTracked(Tracked{ExceedLevel: -1, StopLevel: -1, Quiet: 0, MaxTime: 0.5})
-	if !ok {
-		t.Fatal("kernel handler rejected by RunTracked")
-	}
+	res2 := eng2.RunTracked(Tracked{ExceedLevel: -1, StopLevel: -1, Quiet: 0, MaxTime: 0.5})
 	if !res2.Censored {
 		t.Error("not censored at MaxTime with unreachable stop level")
 	}

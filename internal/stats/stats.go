@@ -66,7 +66,7 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if q < 0 || q > 1 {
+	if !(0 <= q && q <= 1) {
 		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
 	}
 	sorted := append([]float64(nil), xs...)

@@ -352,3 +352,13 @@ func TestKSDistance(t *testing.T) {
 		t.Errorf("interleaved samples: D = %v, want 0.5", d)
 	}
 }
+
+// NaN compares false with every bound, so the quantile range check must
+// be written to fail closed on it.
+func TestQuantileRejectsNaN(t *testing.T) {
+	for _, q := range []float64{math.NaN(), -0.1, 1.1} {
+		if _, err := Quantile([]float64{1, 2, 3}, q); err == nil {
+			t.Errorf("Quantile(q=%v) accepted", q)
+		}
+	}
+}
