@@ -45,6 +45,27 @@ func TestExhaustiveTriangleClean(t *testing.T) {
 	t.Logf("explored %d states, %d transitions (%d deduped)", res.StatesExplored, res.Transitions, res.Deduped)
 }
 
+// TestExhaustiveTrianglePinnedCounts pins the exact size of one explored
+// state space. The counts depend on the action alphabet, the state hash and
+// the clone: a change to how world states are copied or fingerprinted that
+// merges or splits states shows up here as a changed count, even when no
+// invariant fails.
+func TestExhaustiveTrianglePinnedCounts(t *testing.T) {
+	spec := Spec{Graph: graph.Complete(3), X0: []float64{-2, 1, -1}, Rule: Vanilla()}
+	res, err := Exhaustive(spec, faultOptions(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counterexample != nil || res.Truncated {
+		t.Fatalf("counterexample %v, truncated %v", res.Counterexample, res.Truncated)
+	}
+	const states, transitions, deduped = 50767, 180943, 130177
+	if res.StatesExplored != states || res.Transitions != transitions || res.Deduped != deduped {
+		t.Fatalf("explored %d states, %d transitions, %d deduped; want %d, %d, %d",
+			res.StatesExplored, res.Transitions, res.Deduped, states, transitions, deduped)
+	}
+}
+
 // TestExhaustiveSparseCutClean runs the checker over Algorithm A's exchange
 // rule on a 4-node path cut in the middle, including the designated edge's
 // tick counter and swap in the explored state.

@@ -44,7 +44,7 @@ type world struct {
 	rule *checkRule
 	mc   dist.Machine
 
-	nodes   []*dist.NodeState
+	nodes   []dist.NodeState
 	crashed []bool
 	net     []dist.Message
 
@@ -93,7 +93,7 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 		g:       spec.Graph,
 		opt:     opt,
 		rule:    rule,
-		nodes:   make([]*dist.NodeState, n),
+		nodes:   make([]dist.NodeState, n),
 		crashed: make([]bool, n),
 		xInit:   make(map[exKey]float64),
 		sum0:    sum0,
@@ -104,7 +104,7 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 		Mutate: opt.Mutation,
 	}
 	for i := range w.nodes {
-		w.nodes[i] = dist.NewNodeState(i, spec.X0[i])
+		w.nodes[i] = dist.NodeState{ID: i, X: spec.X0[i]}
 	}
 	return w, nil
 }
@@ -116,9 +116,13 @@ func (w *world) clone() *world {
 	cp := *w
 	cp.rule = w.rule.clone()
 	cp.mc.Rule = cp.rule
-	cp.nodes = make([]*dist.NodeState, len(w.nodes))
-	for i, st := range w.nodes {
-		cp.nodes[i] = st.Clone()
+	cp.nodes = append([]dist.NodeState(nil), w.nodes...)
+	for i := range cp.nodes {
+		// The watermark slots are the one part of a node the machine
+		// writes through a pointer.
+		if la := cp.nodes[i].LastApplied; la != nil {
+			cp.nodes[i].LastApplied = append([]uint64(nil), la...)
+		}
 	}
 	cp.crashed = append([]bool(nil), w.crashed...)
 	cp.net = append([]dist.Message(nil), w.net...)
@@ -156,7 +160,8 @@ func (w *world) enabled() []Action {
 			}
 		}
 	}
-	for n, st := range w.nodes {
+	for n := range w.nodes {
+		st := &w.nodes[n]
 		if w.crashed[n] {
 			acts = append(acts, Action{Op: OpRecover, Node: n})
 			continue
@@ -166,10 +171,10 @@ func (w *world) enabled() []Action {
 				acts = append(acts, Action{Op: OpInitiate, Node: n, Edge: e})
 			}
 		}
-		if st.Await != nil {
+		if st.Await.Live() {
 			acts = append(acts, Action{Op: OpTimeout, Node: n})
 		}
-		if st.Pend != nil && w.resends < w.opt.MaxResends {
+		if st.Pend.Live() && w.resends < w.opt.MaxResends {
 			acts = append(acts, Action{Op: OpResend, Node: n})
 		}
 		if w.opt.Crashes && w.crashes < w.opt.MaxCrashes {
@@ -227,23 +232,21 @@ func (w *world) apply(a Action) error {
 		}
 		out := w.mc.Initiate(st, adj[a.Edge], w.nowNs)
 		w.inits++
-		for _, m := range out.Send {
-			if m.Kind == dist.MsgLock {
-				w.xInit[exKey{st.ID, m.Seq}] = m.X
-			}
+		if m := out.Msg; m.Kind == dist.MsgLock {
+			w.xInit[exKey{st.ID, m.Seq}] = m.X
 		}
 		if w.rec != nil {
 			fe := dist.FlightEmitter{Rec: w.rec}
 			fe.Initiate(a.Node, out, w.nowNs)
-			w.emitSends(fe, a.Node, out.Send)
+			w.emitSend(fe, a.Node, out.Msg)
 		}
-		w.enqueue(out.Send)
+		w.enqueue(out.Msg)
 	case OpTimeout:
 		st, err := w.aliveNode(a.Node)
 		if err != nil {
 			return err
 		}
-		if st.Await == nil {
+		if !st.Await.Live() {
 			return fmt.Errorf("%w: timeout on node %d with no outstanding initiation", errInvalid, a.Node)
 		}
 		var pre dist.FlightPre
@@ -259,7 +262,7 @@ func (w *world) apply(a Action) error {
 		if err != nil {
 			return err
 		}
-		if st.Pend == nil {
+		if !st.Pend.Live() {
 			return fmt.Errorf("%w: resend on node %d with no held proposal", errInvalid, a.Node)
 		}
 		var pre dist.FlightPre
@@ -271,9 +274,9 @@ func (w *world) apply(a Action) error {
 		if w.rec != nil {
 			fe := dist.FlightEmitter{Rec: w.rec}
 			fe.Resend(a.Node, pre, w.nowNs)
-			w.emitSends(fe, a.Node, out.Send)
+			w.emitSend(fe, a.Node, out.Msg)
 		}
-		w.enqueue(out.Send)
+		w.enqueue(out.Msg)
 	case OpCrash:
 		st, err := w.aliveNode(a.Node)
 		if err != nil {
@@ -297,7 +300,7 @@ func (w *world) apply(a Action) error {
 		if w.rec != nil {
 			dist.FlightEmitter{Rec: w.rec}.Recover(a.Node, w.nowNs)
 		}
-		w.enqueue(w.mc.Recover(w.nodes[a.Node], w.nowNs).Send)
+		w.enqueue(w.mc.Recover(&w.nodes[a.Node], w.nowNs).Msg)
 	default:
 		return fmt.Errorf("%w: unknown op %q", errInvalid, a.Op)
 	}
@@ -322,7 +325,7 @@ func (w *world) aliveNode(i int) (*dist.NodeState, error) {
 	if w.crashed[i] {
 		return nil, fmt.Errorf("%w: node %d is crashed", errInvalid, i)
 	}
-	return w.nodes[i], nil
+	return &w.nodes[i], nil
 }
 
 func (w *world) takeMsg(i int) (dist.Message, error) {
@@ -334,14 +337,17 @@ func (w *world) takeMsg(i int) (dist.Message, error) {
 	return m, nil
 }
 
-func (w *world) enqueue(ms []dist.Message) {
-	w.net = append(w.net, ms...)
+// enqueue puts a step's message, if it sends one, in flight.
+func (w *world) enqueue(m dist.Message) {
+	if m.Kind != 0 {
+		w.net = append(w.net, m)
+	}
 }
 
-// emitSends records each outgoing message of a step, mirroring the live
+// emitSend records a step's outgoing message, if any, mirroring the live
 // runtime's send() hook.
-func (w *world) emitSends(fe dist.FlightEmitter, node int, ms []dist.Message) {
-	for _, m := range ms {
+func (w *world) emitSend(fe dist.FlightEmitter, node int, m dist.Message) {
+	if m.Kind != 0 {
 		fe.Send(node, m, w.nowNs)
 	}
 }
@@ -356,12 +362,12 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 		}
 		return nil
 	}
-	st := w.nodes[m.To]
+	st := &w.nodes[m.To]
 	xBefore := st.X
 	var pendSeq uint64
 	pendInit := -1
-	if st.Pend != nil {
-		pendSeq, pendInit = st.Pend.Msg.Seq, st.Pend.Msg.To
+	if st.Pend.Live() {
+		pendSeq, pendInit = st.Pend.Seq, int(st.Pend.To)
 	}
 	var pre dist.FlightPre
 	if w.rec != nil {
@@ -371,9 +377,9 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 	if w.rec != nil {
 		fe := dist.FlightEmitter{Rec: w.rec}
 		fe.Deliver(m.To, m, out, pre, w.nowNs)
-		w.emitSends(fe, m.To, out.Send)
+		w.emitSend(fe, m.To, out.Msg)
 	}
-	w.enqueue(out.Send)
+	w.enqueue(out.Msg)
 	if out.Applied {
 		// Provenance: the delta the initiator just applied was computed by
 		// the responder from the value the LOCK carried. If that is not the
@@ -389,7 +395,7 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 		// A responder must only commit a proposal whose initiator actually
 		// applied the matching half (watermark equals the pend's seq; see
 		// sumInvariant for why equality is the applied test).
-		if got := w.nodes[pendInit].LastApplied[st.ID]; got != pendSeq {
+		if got := w.mc.Watermark(&w.nodes[pendInit], st.ID); got != pendSeq {
 			return &Violation{Invariant: invStaleCommit, Detail: fmt.Sprintf(
 				"node %d committed held proposal seq %d whose initiator %d has applied-watermark %d",
 				st.ID, pendSeq, pendInit, got)}
@@ -415,17 +421,19 @@ func (w *world) invariants() error {
 }
 
 func (w *world) lockSanity() error {
-	for i, st := range w.nodes {
-		if st.Await != nil && st.Pend != nil {
+	for i := range w.nodes {
+		st := &w.nodes[i]
+		if st.Await.Live() && st.Pend.Live() {
 			return &Violation{Invariant: invLockState, Detail: fmt.Sprintf(
 				"node %d holds both an outstanding initiation and a held proposal", i)}
 		}
-		if w.crashed[i] && st.Await != nil {
+		if w.crashed[i] && st.Await.Live() {
 			return &Violation{Invariant: invLockState, Detail: fmt.Sprintf(
 				"crashed node %d still holds its (volatile) outstanding initiation", i)}
 		}
-		for r, seq := range st.LastApplied {
+		for k, seq := range st.LastApplied {
 			if seq > st.Seq {
+				r := w.g.Neighbors(graph.NodeID(i))[k].Peer
 				return &Violation{Invariant: invLockState, Detail: fmt.Sprintf(
 					"node %d applied-watermark for responder %d is %d, past its own seq counter %d", i, r, seq, st.Seq)}
 			}
@@ -442,11 +450,12 @@ func (w *world) lockSanity() error {
 // and held proposals are stable storage.
 func (w *world) sumInvariant() error {
 	s := 0.0
-	for _, st := range w.nodes {
-		s += st.X
+	for i := range w.nodes {
+		s += w.nodes[i].X
 	}
-	for _, st := range w.nodes {
-		if st.Pend == nil {
+	for i := range w.nodes {
+		st := &w.nodes[i]
+		if !st.Pend.Live() {
 			continue
 		}
 		// The initiator applied this held proposal iff its watermark equals
@@ -454,8 +463,8 @@ func (w *world) sumInvariant() error {
 		// a held proposal below the watermark is a resurrected aborted
 		// initiation the initiator never applied (and must refuse — that
 		// refusal being exact is precisely what MutLaxWatermarkDedup breaks).
-		if w.nodes[st.Pend.Msg.To].LastApplied[st.ID] == st.Pend.Msg.Seq {
-			s -= st.Pend.Msg.X
+		if w.mc.Watermark(&w.nodes[st.Pend.To], st.ID) == st.Pend.Seq {
+			s -= st.Pend.Delta
 		}
 	}
 	if d := s - w.sum0; math.Abs(d) > w.opt.Epsilon {
@@ -476,7 +485,7 @@ func (w *world) drain() error {
 	for i := range w.crashed {
 		if w.crashed[i] {
 			w.crashed[i] = false
-			w.enqueue(w.mc.Recover(w.nodes[i], w.nowNs).Send)
+			w.enqueue(w.mc.Recover(&w.nodes[i], w.nowNs).Msg)
 		}
 	}
 	limit := 100 + 30*(len(w.net)+len(w.nodes))
@@ -498,16 +507,16 @@ func (w *world) drain() error {
 			continue
 		}
 		acted := false
-		for _, st := range w.nodes {
-			if st.Pend != nil {
-				w.enqueue(w.mc.Resend(st, w.nowNs).Send)
+		for i := range w.nodes {
+			if st := &w.nodes[i]; st.Pend.Live() {
+				w.enqueue(w.mc.Resend(st, w.nowNs).Msg)
 				acted = true
 				break
 			}
 		}
 		if !acted {
-			for _, st := range w.nodes {
-				if st.Await != nil {
+			for i := range w.nodes {
+				if st := &w.nodes[i]; st.Await.Live() {
 					w.mc.TimeoutAwait(st)
 					acted = true
 					break
@@ -519,8 +528,8 @@ func (w *world) drain() error {
 		}
 	}
 	s := 0.0
-	for _, st := range w.nodes {
-		s += st.X
+	for i := range w.nodes {
+		s += w.nodes[i].X
 	}
 	if d := s - w.sum0; math.Abs(d) > w.opt.Epsilon {
 		return &Violation{Invariant: invQuiescence, Detail: fmt.Sprintf(
@@ -548,26 +557,32 @@ func (w *world) hash() uint64 {
 			v >>= 8
 		}
 	}
-	for i, st := range w.nodes {
+	for i := range w.nodes {
+		st := &w.nodes[i]
 		mix(math.Float64bits(st.X))
 		mix(st.Seq)
-		if st.Await != nil {
+		if st.Await.Live() {
 			mix(1)
 			mix(uint64(st.Await.Peer))
-			mix(st.Await.Seq)
+			mix(st.Seq) // the live Await's seq
 		} else {
 			mix(0)
 		}
-		if st.Pend != nil {
-			k := msgKey(st.Pend.Msg)
+		if p := &st.Pend; p.Live() {
+			k := msgKey(dist.Message{Kind: dist.MsgPropose, From: st.ID, To: int(p.To), Seq: p.Seq, Edge: p.Edge, X: p.Delta})
 			mix(2)
 			mix(k[0])
 			mix(k[1])
 		} else {
 			mix(0)
 		}
-		for _, he := range w.g.Neighbors(graph.NodeID(i)) {
-			mix(st.LastApplied[int(he.Peer)])
+		// One word per neighbour slot, 0 before the node's first apply.
+		for k := range w.g.Neighbors(graph.NodeID(i)) {
+			var seq uint64
+			if st.LastApplied != nil {
+				seq = st.LastApplied[k]
+			}
+			mix(seq)
 		}
 		if w.crashed[i] {
 			mix(1)

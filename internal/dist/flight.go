@@ -100,24 +100,16 @@ func instrumentTransportFlight(rec *flight.Recorder, tr Transport) {
 // identify which exchange an abort or a rollback resolved (the Await/Pend
 // it cleared is already gone).
 type FlightPre struct {
-	hadAwait  bool
-	awaitSeq  uint64
-	awaitPeer int
-	hadPend   bool
-	pendMsg   Message
+	// seq is the node's Seq, which is the live Await's seq.
+	seq   uint64
+	await AwaitState
+	pend  PendState
 }
 
 // FlightPreOf captures st's pre-step snapshot. Call before the machine
 // method, pass to the matching FlightEmitter method after.
 func FlightPreOf(st *NodeState) FlightPre {
-	var p FlightPre
-	if st.Await != nil {
-		p.hadAwait, p.awaitSeq, p.awaitPeer = true, st.Await.Seq, st.Await.Peer
-	}
-	if st.Pend != nil {
-		p.hadPend, p.pendMsg = true, st.Pend.Msg
-	}
-	return p
+	return FlightPre{seq: st.Seq, await: st.Await, pend: st.Pend}
 }
 
 // FlightEmitter translates protocol steps into flight records, one method
@@ -133,13 +125,7 @@ func (fe FlightEmitter) Deliver(node int, m Message, out StepOut, pre FlightPre,
 	id := int32(node)
 	fe.Rec.Record(msgRecord(flight.EvRecv, m, node, nowNs))
 	if out.PendCreated {
-		d := 0.0
-		for _, sm := range out.Send {
-			if sm.Kind == MsgPropose {
-				d = sm.X
-			}
-		}
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: m.Seq, X: d,
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: m.Seq, X: out.Msg.X,
 			Init: int32(m.From), Node: id, Peer: int32(m.From), Edge: int32(m.Edge), Kind: flight.EvPendHold})
 	}
 	if out.Applied {
@@ -147,49 +133,53 @@ func (fe FlightEmitter) Deliver(node int, m Message, out StepOut, pre FlightPre,
 			Init: id, Node: id, Peer: int32(m.From), Edge: msgEdge(m), Kind: flight.EvApply})
 	}
 	if out.Committed {
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.pendMsg.Seq, X: pre.pendMsg.X,
-			Init: int32(pre.pendMsg.To), Node: id, Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvCommit})
+		p := &pre.pend
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: p.Seq, X: p.Delta,
+			Init: int32(p.To), Node: id, Peer: int32(p.To), Edge: int32(p.Edge), Kind: flight.EvCommit})
 	}
 	if out.Aborted {
 		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: m.Seq,
 			Init: id, Node: id, Peer: int32(m.From), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonNack})
 	}
 	if out.PendDropped {
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.pendMsg.Seq,
-			Init: int32(pre.pendMsg.To), Node: id, Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvPendDrop})
+		p := &pre.pend
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: p.Seq,
+			Init: int32(p.To), Node: id, Peer: int32(p.To), Edge: int32(p.Edge), Kind: flight.EvPendDrop})
 	}
 }
 
-// Initiate records a new initiation (reads the LOCK out of out.Send).
+// Initiate records a new initiation (reads the LOCK out of out.Msg).
 func (fe FlightEmitter) Initiate(node int, out StepOut, nowNs int64) {
-	if !out.Proposed || len(out.Send) == 0 {
+	if !out.Proposed {
 		return
 	}
-	lk := out.Send[0]
+	lk := out.Msg
 	fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: lk.Seq, X: lk.X,
 		Init: int32(node), Node: int32(node), Peer: int32(lk.To), Edge: int32(lk.Edge), Kind: flight.EvInitiate})
 }
 
 // Timeout records a lock-timeout fire and the abort it resolved.
 func (fe FlightEmitter) Timeout(node int, out StepOut, pre FlightPre, nowNs int64) {
-	if pre.hadAwait {
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.awaitSeq,
-			Init: int32(node), Node: int32(node), Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvTimeout})
+	a := &pre.await
+	if a.Live() {
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.seq,
+			Init: int32(node), Node: int32(node), Peer: int32(a.Peer), Edge: flight.NoNode, Kind: flight.EvTimeout})
 	}
 	if out.Aborted {
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.awaitSeq,
-			Init: int32(node), Node: int32(node), Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonTimeout})
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.seq,
+			Init: int32(node), Node: int32(node), Peer: int32(a.Peer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonTimeout})
 	}
 }
 
 // Resend records a retransmission-lease fire (the proposal's re-send is a
 // separate Send record).
 func (fe FlightEmitter) Resend(node int, pre FlightPre, nowNs int64) {
-	if !pre.hadPend {
+	p := &pre.pend
+	if !p.Live() {
 		return
 	}
-	fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.pendMsg.Seq,
-		Init: int32(pre.pendMsg.To), Node: int32(node), Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvResend})
+	fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: p.Seq,
+		Init: int32(p.To), Node: int32(node), Peer: int32(p.To), Edge: int32(p.Edge), Kind: flight.EvResend})
 }
 
 // Crash records a fail-stop and the volatile initiation it aborted.
@@ -197,8 +187,8 @@ func (fe FlightEmitter) Crash(node int, out StepOut, pre FlightPre, nowNs int64)
 	fe.Rec.Record(flight.Record{TimeNs: nowNs,
 		Init: flight.NoNode, Node: int32(node), Peer: flight.NoNode, Edge: flight.NoNode, Kind: flight.EvCrash})
 	if out.Aborted {
-		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.awaitSeq,
-			Init: int32(node), Node: int32(node), Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonCrash})
+		fe.Rec.Record(flight.Record{TimeNs: nowNs, Seq: pre.seq,
+			Init: int32(node), Node: int32(node), Peer: int32(pre.await.Peer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonCrash})
 	}
 }
 

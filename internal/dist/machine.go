@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"cmp"
+	"slices"
+
 	"sparsecut/internal/graph"
 )
 
@@ -69,11 +72,11 @@ type Machine struct {
 	// Epoch stamps outgoing messages and drops stale incoming ones (see
 	// Message.Epoch).
 	Epoch uint64
-	// LockTimeoutNs and ResendEveryNs set the deadlines the machine writes
-	// into Await/Pend state, in the driver's time base (wall nanoseconds
-	// for the live runtime, virtual ticks for the checker). The machine
-	// never compares them against now itself — firing TimeoutAwait and
-	// Resend is the driver's decision.
+	// LockTimeoutNs and ResendEveryNs set the Await and Pend deadlines
+	// (AwaitDeadline, PendState.ResendNs), in the driver's time base
+	// (wall nanoseconds for the live runtime, virtual ticks for the
+	// checker). The machine never compares them against now itself —
+	// firing TimeoutAwait and Resend is the driver's decision.
 	LockTimeoutNs int64
 	ResendEveryNs int64
 	// Mutate seeds an intentional protocol bug for checker self-tests
@@ -157,101 +160,138 @@ func ParseMutation(s string) (Mutation, bool) {
 
 // NodeState is the pure protocol state of one node — everything the
 // exchange protocol reads or writes, and nothing the driver owns (clocks,
-// RNGs, mailboxes, crash schedules live with the driver).
+// RNGs, mailboxes, crash schedules live with the driver). The lock state
+// is inline, so a step allocates nothing; the watermark slice is the one
+// pointer the collector scans per node.
 type NodeState struct {
 	ID int
 	X  float64
 	// Seq numbers this node's initiations; (ID, Seq) identifies one
-	// exchange attempt.
+	// exchange attempt. Seq 0 names no exchange: the first initiation is
+	// seq 1, which is what lets Pend use seq 0 as "none".
 	Seq uint64
-	// Await is the outstanding initiation, if any; Pend the held
-	// (uncommitted) proposal awaiting its commit or abort, if any. The
-	// node is locked while either is non-nil (it NACKs incoming LOCKs and
-	// its clock fires are skipped).
-	Await *AwaitState
-	Pend  *PendState
-	// LastApplied[r] is the highest seq whose proposal from responder r
-	// has been applied, so retransmitted duplicates are answered with a
-	// fresh COMMIT without reapplying. A per-responder watermark suffices:
-	// a responder holds its lock until its proposal is resolved, so it
-	// proposes to this node serially, and the one proposal it can be
-	// retransmitting is exactly the one that set the watermark (the
-	// duplicate test is seq == watermark; a lower seq is a resurrected
-	// aborted initiation and is refused — see MutLaxWatermarkDedup).
-	LastApplied map[int]uint64
+	// Await is the outstanding initiation, if Live; Pend the held
+	// (uncommitted) proposal awaiting its commit or abort, if Live. The
+	// node is locked while either is live (it NACKs incoming LOCKs and its
+	// clock fires are skipped).
+	Await AwaitState
+	Pend  PendState
+	// LastApplied[k] is the highest seq whose proposal from responder
+	// G.Neighbors(ID)[k].Peer has been applied, so retransmitted duplicates
+	// are answered with a fresh COMMIT without reapplying; read it through
+	// Machine.Watermark. A per-responder watermark suffices: a responder
+	// holds its lock until its proposal is resolved, so it proposes to this
+	// node serially, and the one proposal it can be retransmitting is
+	// exactly the one that set the watermark (the duplicate test is seq ==
+	// watermark; a lower seq is a resurrected aborted initiation and is
+	// refused — see MutLaxWatermarkDedup). nil until the node's first
+	// apply.
+	LastApplied []uint64
 }
 
-// AwaitState is an outstanding initiation.
+// AwaitState is an outstanding initiation; the zero value is none. Its
+// seq is always the node's current Seq and its deadline StartedNs +
+// Machine.LockTimeoutNs (Machine.AwaitDeadline), so neither is stored.
 type AwaitState struct {
-	Seq uint64
+	// StartedNs is when the initiation's LOCK went out; StepOut.LatencyNs
+	// measures LOCK-sent → PROPOSE-applied from it.
+	StartedNs int64
 	// Peer is the responder this initiation locked toward. Replies are
 	// matched on (peer, seq), not seq alone: seq counters are per-node
 	// namespaces, so a late duplicate NACK from an old exchange (carrying
 	// the *other* node's seq) could otherwise collide with this node's
 	// own counter and abort an unrelated healthy exchange.
-	Peer       int
-	DeadlineNs int64
-	// StartedNs is when the initiation's LOCK went out; StepOut.LatencyNs
-	// measures LOCK-sent → PROPOSE-applied from it.
-	StartedNs int64
+	Peer graph.NodeID
+	live bool
 }
 
-// PendState is a held (uncommitted) proposal. Msg is the PROPOSE to
-// retransmit; Msg.X is the held delta.
+// Live reports whether an initiation is outstanding.
+func (a *AwaitState) Live() bool { return a.live }
+
+// awaits reports whether st's outstanding initiation is exchange seq
+// toward peer.
+func (st *NodeState) awaits(peer int, seq uint64) bool {
+	return st.Await.live && st.Seq == seq && int(st.Await.Peer) == peer
+}
+
+// AwaitDeadline returns when st's outstanding initiation times out.
+func (mc *Machine) AwaitDeadline(st *NodeState) int64 {
+	return st.Await.StartedNs + mc.LockTimeoutNs
+}
+
+// PendState is a held (uncommitted) proposal; the zero value is none. It
+// keeps only what identifies the PROPOSE — Machine.Resend rebuilds the
+// message from it.
 type PendState struct {
-	Msg      Message
+	// Seq is the initiator's seq the proposal answers; 0 when no proposal
+	// is held.
+	Seq uint64
+	// Delta is the held delta: the initiator adds it, this node subtracts
+	// it on commit.
+	Delta    float64
 	ResendNs int64
+	// To is the initiator, Edge the exchange's edge.
+	To   graph.NodeID
+	Edge graph.EdgeID
 }
 
-// NewNodeState returns the initial protocol state of node id with value
-// x0. LastApplied stays nil until the first apply: nil-map reads are valid
-// and a 10^6-node sharded run would otherwise pay ~50 bytes of empty map
-// header per node that most nodes never use.
-func NewNodeState(id int, x0 float64) *NodeState {
-	return &NodeState{ID: id, X: x0}
-}
+// Live reports whether a proposal is held.
+func (p *PendState) Live() bool { return p.Seq != 0 }
 
-// noteApplied records the per-responder apply watermark, allocating the map
-// on first use.
-func (st *NodeState) noteApplied(responder int, seq uint64) {
-	if st.LastApplied == nil {
-		st.LastApplied = make(map[int]uint64, 1)
+// slot returns responder's index in G.Neighbors(id), or -1 when responder
+// is not a neighbour. The list is sorted by peer and the graph is simple,
+// so a binary search finds the one index in O(log degree).
+func (mc *Machine) slot(id, responder int) int {
+	adj := mc.G.Neighbors(graph.NodeID(id))
+	k, ok := slices.BinarySearchFunc(adj, graph.NodeID(responder), func(he graph.HalfEdge, p graph.NodeID) int {
+		return cmp.Compare(he.Peer, p)
+	})
+	if !ok {
+		return -1
 	}
-	st.LastApplied[responder] = seq
+	return k
+}
+
+// Watermark returns st's apply watermark for responder: the highest seq
+// whose proposal from responder st has applied, 0 if none.
+func (mc *Machine) Watermark(st *NodeState, responder int) uint64 {
+	k := mc.slot(st.ID, responder)
+	if k < 0 || st.LastApplied == nil {
+		return 0
+	}
+	return st.LastApplied[k]
+}
+
+// noteApplied records the per-responder apply watermark, allocating the
+// slot array on the node's first apply.
+func (mc *Machine) noteApplied(st *NodeState, responder int, seq uint64) {
+	k := mc.slot(st.ID, responder)
+	if k < 0 {
+		return
+	}
+	if st.LastApplied == nil {
+		st.LastApplied = make([]uint64, mc.G.Degree(graph.NodeID(st.ID)))
+	}
+	st.LastApplied[k] = seq
 }
 
 // Locked reports whether the node is in the middle of an exchange (either
 // role) and therefore refuses new LOCKs and skips its own clock fires.
-func (st *NodeState) Locked() bool { return st.Await != nil || st.Pend != nil }
+func (st *NodeState) Locked() bool { return st.Await.Live() || st.Pend.Live() }
 
-// Clone returns a deep copy (the checker forks world states per explored
-// action).
-func (st *NodeState) Clone() *NodeState {
-	cp := *st
-	if st.Await != nil {
-		a := *st.Await
-		cp.Await = &a
-	}
-	if st.Pend != nil {
-		p := *st.Pend
-		cp.Pend = &p
-	}
-	if st.LastApplied != nil {
-		cp.LastApplied = make(map[int]uint64, len(st.LastApplied))
-		for k, v := range st.LastApplied {
-			cp.LastApplied[k] = v
-		}
-	}
-	return &cp
+// proposal rebuilds the PROPOSE of st's held proposal.
+func (mc *Machine) proposal(st *NodeState) Message {
+	p := &st.Pend
+	return Message{Kind: MsgPropose, Re: MsgLock, From: st.ID, To: int(p.To), Seq: p.Seq, Edge: p.Edge, X: p.Delta, Epoch: mc.Epoch}
 }
 
-// StepOut is the effect of one protocol step: the messages to transmit
+// StepOut is the effect of one protocol step: the message to transmit
 // plus flags the driver folds into its accounting. The machine mutates
 // only the NodeState it was handed; everything else is reported here.
 type StepOut struct {
-	// Send is the messages to hand to the transport, already
-	// epoch-stamped, in order.
-	Send []Message
+	// Msg is the message to hand to the transport, already epoch-stamped.
+	// Every step sends at most one; Msg.Kind == 0 means it sends nothing.
+	Msg Message
 	// Proposed: a new initiation went out (LOCK sent, Await created).
 	Proposed bool
 	// PendCreated: the responder locked itself and holds a new proposal.
@@ -272,24 +312,23 @@ type StepOut struct {
 	LatencyNs int64
 }
 
-func (out *StepOut) send(m Message) { out.Send = append(out.Send, m) }
-
 // Deliver processes one incoming message against st. draining mirrors the
 // runtime's drain phase: the node answers and resolves but refuses to
 // start new exchanges as responder.
 func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if m.Epoch != mc.Epoch {
+	if m.Epoch != mc.Epoch || m.Seq == 0 {
 		// A leftover from a previous Run, stranded in the mailbox across
 		// the run boundary (see Message.Epoch). Every previous-run
 		// exchange is fully resolved by the time a run returns, so the
-		// message is stale by construction.
+		// message is stale by construction. Seq 0 names no exchange (the
+		// machine never sends it), so such a message is malformed input.
 		return out
 	}
 	switch m.Kind {
 	case MsgLock:
 		if st.Locked() || draining {
-			out.send(Message{Kind: MsgNack, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Msg = Message{Kind: MsgNack, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 			return out
 		}
 		// Propose: compute the initiator's delta and hold it, locked,
@@ -299,22 +338,21 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 		// here; a subsequently NACKed proposal has still consumed a tick,
 		// like a simulator tick whose update is the identity.
 		d := mc.Rule.Delta(m.Edge, graph.NodeID(m.From), m.X, st.X)
-		prop := Message{Kind: MsgPropose, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Edge: m.Edge, X: d, Epoch: mc.Epoch}
-		st.Pend = &PendState{Msg: prop, ResendNs: nowNs + mc.ResendEveryNs}
+		st.Pend = PendState{Seq: m.Seq, Delta: d, ResendNs: nowNs + mc.ResendEveryNs, To: graph.NodeID(m.From), Edge: m.Edge}
 		out.PendCreated = true
-		out.send(prop)
+		out.Msg = mc.proposal(st)
 
 	case MsgPropose:
 		switch {
-		case st.Await != nil && st.Await.Seq == m.Seq && st.Await.Peer == m.From:
+		case st.awaits(m.From, m.Seq):
 			// Our current exchange: apply our half and commit.
-			st.noteApplied(m.From, m.Seq)
+			mc.noteApplied(st, m.From, m.Seq)
 			st.X += m.X
 			out.Applied = true
 			out.LatencyNs = nowNs - st.Await.StartedNs
-			st.Await = nil
-			out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
-		case m.Seq == st.LastApplied[m.From] || (mc.Mutate == MutLaxWatermarkDedup && m.Seq <= st.LastApplied[m.From]):
+			st.Await = AwaitState{}
+			out.Msg = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
+		case m.Seq == mc.Watermark(st, m.From) || (mc.Mutate == MutLaxWatermarkDedup && m.Seq <= mc.Watermark(st, m.From)):
 			// Retransmission of the proposal we already applied (our COMMIT
 			// was lost): re-commit without reapplying. The match must be
 			// exact: the responder proposes to us serially (it stays locked
@@ -326,29 +364,29 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 			// falls through to the refusal below. (The original `<=` test
 			// here re-committed those and broke sum conservation; see
 			// MutLaxWatermarkDedup.)
-			out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Msg = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 		default:
 			// A proposal for an exchange we already gave up on: refuse,
 			// so the responder rolls back. This is what guarantees a
 			// committed exchange never uses a stale initiator value.
 			if mc.Mutate == MutStaleProposalApply {
-				st.noteApplied(m.From, m.Seq)
+				mc.noteApplied(st, m.From, m.Seq)
 				st.X += m.X
 				out.Applied = true
-				out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+				out.Msg = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 				return out
 			}
-			out.send(Message{Kind: MsgNack, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Msg = Message{Kind: MsgNack, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 		}
 
 	case MsgCommit:
-		match := st.Pend != nil && st.Pend.Msg.Seq == m.Seq && st.Pend.Msg.To == m.From
+		match := st.Pend.Seq == m.Seq && int(st.Pend.To) == m.From
 		if mc.Mutate == MutCommitIgnoresSeq {
-			match = st.Pend != nil && st.Pend.Msg.To == m.From
+			match = st.Pend.Live() && int(st.Pend.To) == m.From
 		}
 		if match {
-			st.X -= st.Pend.Msg.X
-			st.Pend = nil
+			st.X -= st.Pend.Delta
+			st.Pend = PendState{}
 			out.Committed = true
 		}
 
@@ -363,17 +401,17 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 		// MutNackRoleConfusion, the seed bug internal/check caught).
 		answersLock := m.Re == MsgLock || mc.Mutate == MutNackRoleConfusion
 		answersProp := m.Re == MsgPropose || mc.Mutate == MutNackRoleConfusion
-		if answersLock && st.Await != nil && st.Await.Seq == m.Seq && st.Await.Peer == m.From {
-			st.Await = nil
+		if answersLock && st.awaits(m.From, m.Seq) {
+			st.Await = AwaitState{}
 			out.Aborted = true
 		}
-		if answersProp && st.Pend != nil && st.Pend.Msg.Seq == m.Seq && st.Pend.Msg.To == m.From {
+		if answersProp && st.Pend.Seq == m.Seq && int(st.Pend.To) == m.From {
 			// Our held proposal was refused: roll back (nothing was
 			// applied) and unlock.
 			if mc.Mutate == MutNackRollbackApplies {
-				st.X -= st.Pend.Msg.X
+				st.X -= st.Pend.Delta
 			}
-			st.Pend = nil
+			st.Pend = PendState{}
 			out.PendDropped = true
 		}
 	}
@@ -389,9 +427,9 @@ func (mc *Machine) Initiate(st *NodeState, he graph.HalfEdge, nowNs int64) StepO
 		return out
 	}
 	st.Seq++
-	st.Await = &AwaitState{Seq: st.Seq, Peer: int(he.Peer), DeadlineNs: nowNs + mc.LockTimeoutNs, StartedNs: nowNs}
+	st.Await = AwaitState{StartedNs: nowNs, Peer: he.Peer, live: true}
 	out.Proposed = true
-	out.send(Message{Kind: MsgLock, From: st.ID, To: int(he.Peer), Seq: st.Seq, Edge: he.Edge, X: st.X, Epoch: mc.Epoch})
+	out.Msg = Message{Kind: MsgLock, From: st.ID, To: int(he.Peer), Seq: st.Seq, Edge: he.Edge, X: st.X, Epoch: mc.Epoch}
 	return out
 }
 
@@ -402,8 +440,8 @@ func (mc *Machine) Initiate(st *NodeState, he graph.HalfEdge, nowNs int64) StepO
 // fires it at arbitrary points to model arbitrary timing.
 func (mc *Machine) TimeoutAwait(st *NodeState) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Await != nil {
-		st.Await = nil
+	if st.Await.Live() {
+		st.Await = AwaitState{}
 		out.Aborted = true
 	}
 	return out
@@ -412,8 +450,8 @@ func (mc *Machine) TimeoutAwait(st *NodeState) StepOut {
 // Resend retransmits the held proposal and renews its lease.
 func (mc *Machine) Resend(st *NodeState, nowNs int64) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Pend != nil {
-		out.send(st.Pend.Msg)
+	if st.Pend.Live() {
+		out.Msg = mc.proposal(st)
 		st.Pend.ResendNs = nowNs + mc.ResendEveryNs
 	}
 	return out
@@ -425,8 +463,8 @@ func (mc *Machine) Resend(st *NodeState, nowNs int64) StepOut {
 // the node is down.
 func (mc *Machine) Crash(st *NodeState) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Await != nil {
-		st.Await = nil
+	if st.Await.Live() {
+		st.Await = AwaitState{}
 		out.Aborted = true
 	}
 	return out
@@ -436,7 +474,7 @@ func (mc *Machine) Crash(st *NodeState) StepOut {
 // due for immediate retransmission so the stalled exchange resolves.
 func (mc *Machine) Recover(st *NodeState, nowNs int64) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Pend != nil {
+	if st.Pend.Live() {
 		st.Pend.ResendNs = nowNs
 	}
 	return out

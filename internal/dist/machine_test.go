@@ -83,7 +83,7 @@ func testMachine(t *testing.T) (*Machine, []*NodeState) {
 		t.Fatal(err)
 	}
 	mc := &Machine{G: g, Rule: NewVanillaRule(), Epoch: 1, LockTimeoutNs: 100, ResendEveryNs: 40}
-	sts := []*NodeState{NewNodeState(0, 1), NewNodeState(1, 5), NewNodeState(2, 0)}
+	sts := []*NodeState{{ID: 0, X: 1}, {ID: 1, X: 5}, {ID: 2, X: 0}}
 	return mc, sts
 }
 
@@ -98,41 +98,68 @@ func halfEdgeTo(t *testing.T, mc *Machine, from, to int) graph.HalfEdge {
 	return graph.HalfEdge{}
 }
 
+// TestMachineSlotFindsEveryNeighbour checks the watermark slot lookup on
+// a dense and a sparse graph: every neighbour's slot is its index in
+// Neighbors, and a non-neighbour (or the node itself) has none.
+func TestMachineSlotFindsEveryNeighbour(t *testing.T) {
+	db, _, err := graph.Dumbbell(12, 9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{graph.Complete(17), db, graph.Torus(4, 5)} {
+		mc := &Machine{G: g}
+		for id := 0; id < g.NumNodes(); id++ {
+			isPeer := make([]bool, g.NumNodes())
+			for k, he := range g.Neighbors(graph.NodeID(id)) {
+				isPeer[he.Peer] = true
+				if got := mc.slot(id, int(he.Peer)); got != k {
+					t.Fatalf("%s: slot(%d, %d) = %d, want %d", g.Name(), id, he.Peer, got, k)
+				}
+			}
+			for v := -1; v <= g.NumNodes(); v++ {
+				if (v < 0 || v >= g.NumNodes() || !isPeer[v]) && mc.slot(id, v) != -1 {
+					t.Fatalf("%s: slot(%d, %d) = %d for a non-neighbour", g.Name(), id, v, mc.slot(id, v))
+				}
+			}
+		}
+	}
+}
+
 func TestMachineCommitFlow(t *testing.T) {
 	mc, sts := testMachine(t)
 	a, b := sts[0], sts[1]
 
 	out := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 10)
-	if !out.Proposed || len(out.Send) != 1 || out.Send[0].Kind != MsgLock {
+	if !out.Proposed || out.Msg.Kind != MsgLock {
 		t.Fatalf("initiate: %+v", out)
 	}
-	lock := out.Send[0]
-	if lock.Epoch != 1 || lock.X != 1 || a.Await == nil || a.Await.DeadlineNs != 110 {
+	lock := out.Msg
+	if lock.Epoch != 1 || lock.X != 1 || !a.Await.Live() || mc.AwaitDeadline(a) != 110 {
 		t.Fatalf("lock %+v await %+v", lock, a.Await)
 	}
 
 	out = mc.Deliver(b, lock, 20, false)
-	if !out.PendCreated || len(out.Send) != 1 || out.Send[0].Kind != MsgPropose {
+	if !out.PendCreated || out.Msg.Kind != MsgPropose {
 		t.Fatalf("lock delivery: %+v", out)
 	}
-	prop := out.Send[0]
+	prop := out.Msg
 	if prop.X != 2 { // vanilla delta (5-1)/2
 		t.Errorf("proposed delta %g, want 2", prop.X)
 	}
-	if b.Pend == nil || b.Pend.ResendNs != 60 {
+	if !b.Pend.Live() || b.Pend.ResendNs != 60 {
 		t.Fatalf("pend %+v", b.Pend)
 	}
 
 	out = mc.Deliver(a, prop, 30, false)
-	if !out.Applied || out.LatencyNs != 20 || len(out.Send) != 1 || out.Send[0].Kind != MsgCommit {
+	if !out.Applied || out.LatencyNs != 20 || out.Msg.Kind != MsgCommit {
 		t.Fatalf("propose delivery: %+v", out)
 	}
-	if a.X != 3 || a.Await != nil || a.LastApplied[1] != 1 {
+	if a.X != 3 || a.Await.Live() || mc.Watermark(a, 1) != 1 {
 		t.Fatalf("initiator state after apply: %+v", a)
 	}
 
-	out = mc.Deliver(b, out.Send[0], 40, false)
-	if !out.Committed || b.X != 3 || b.Pend != nil {
+	out = mc.Deliver(b, out.Msg, 40, false)
+	if !out.Committed || b.X != 3 || b.Pend.Live() {
 		t.Fatalf("commit delivery: %+v, responder %+v", out, b)
 	}
 	if s := a.X + b.X + sts[2].X; s != 6 {
@@ -145,43 +172,53 @@ func TestMachineAbortAndDuplicatePaths(t *testing.T) {
 	a, b := sts[0], sts[1]
 
 	// Busy responder NACKs; draining responder NACKs.
-	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Send[0]
+	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Msg
 	mc.Deliver(b, lock, 0, false)
-	lock2 := mc.Initiate(sts[2], halfEdgeTo(t, mc, 2, 1), 0).Send[0]
-	if out := mc.Deliver(b, lock2, 0, false); len(out.Send) != 1 || out.Send[0].Kind != MsgNack {
+	lock2 := mc.Initiate(sts[2], halfEdgeTo(t, mc, 2, 1), 0).Msg
+	if out := mc.Deliver(b, lock2, 0, false); out.Msg.Kind != MsgNack {
 		t.Fatalf("busy responder: %+v", out)
 	}
 
 	// Timeout aborts the initiation; the late proposal is then refused and
 	// the responder rolls back with no value change anywhere.
-	if out := mc.TimeoutAwait(a); !out.Aborted || a.Await != nil {
+	if out := mc.TimeoutAwait(a); !out.Aborted || a.Await.Live() {
 		t.Fatalf("timeout: %+v", out)
 	}
-	prop := b.Pend.Msg
+	prop := mc.proposal(b)
 	out := mc.Deliver(a, prop, 0, false)
-	if out.Applied || len(out.Send) != 1 || out.Send[0].Kind != MsgNack {
+	if out.Applied || out.Msg.Kind != MsgNack {
 		t.Fatalf("stale proposal: %+v", out)
 	}
-	if out := mc.Deliver(b, out.Send[0], 0, false); !out.PendDropped || b.Pend != nil || b.X != 5 {
+	if out := mc.Deliver(b, out.Msg, 0, false); !out.PendDropped || b.Pend.Live() || b.X != 5 {
 		t.Fatalf("rollback: %+v responder %+v", out, b)
 	}
 
 	// Duplicate proposal after a successful apply is re-committed without
 	// reapplying.
-	lock = mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Send[0]
-	prop = mc.Deliver(b, lock, 0, false).Send[0]
+	lock = mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Msg
+	prop = mc.Deliver(b, lock, 0, false).Msg
 	mc.Deliver(a, prop, 0, false)
 	xa := a.X
 	out = mc.Deliver(a, prop, 0, false) // retransmitted duplicate
-	if a.X != xa || len(out.Send) != 1 || out.Send[0].Kind != MsgCommit || out.Applied {
+	if a.X != xa || out.Msg.Kind != MsgCommit || out.Applied {
 		t.Fatalf("duplicate proposal: %+v", out)
 	}
 
 	// Stale-epoch messages are dropped outright.
 	stale := lock
 	stale.Epoch = 99
-	if out := mc.Deliver(b, stale, 0, false); len(out.Send) != 0 || out.PendCreated {
+	if out := mc.Deliver(b, stale, 0, false); out.Msg.Kind != 0 || out.PendCreated {
 		t.Fatalf("stale epoch: %+v", out)
+	}
+
+	// Seq 0 names no exchange (Await and Pend use it as "none"): a LOCK
+	// carrying it is malformed input and must not leave a held proposal
+	// that reads as unlocked.
+	fresh := &NodeState{ID: 1, X: 5}
+	zero := lock
+	zero.Seq = 0
+	if out := mc.Deliver(fresh, zero, 0, false); out.Msg.Kind != 0 || out.PendCreated || fresh.Pend != (PendState{}) {
+		t.Fatalf("seq-0 LOCK: %+v responder %+v", out, fresh)
 	}
 }
 
@@ -191,21 +228,69 @@ func TestMachineCrashRecoverSemantics(t *testing.T) {
 
 	// Crash aborts a volatile initiation.
 	mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0)
-	if out := mc.Crash(a); !out.Aborted || a.Await != nil {
+	if out := mc.Crash(a); !out.Aborted || a.Await.Live() {
 		t.Fatalf("crash with await: %+v", out)
 	}
 
 	// A held proposal survives a crash and retransmits on recovery.
-	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Send[0]
+	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Msg
 	mc.Deliver(b, lock, 0, false)
-	if out := mc.Crash(b); out.Aborted || b.Pend == nil {
+	if out := mc.Crash(b); out.Aborted || !b.Pend.Live() {
 		t.Fatalf("crash with pend: %+v state %+v", out, b)
 	}
 	mc.Recover(b, 500)
 	if b.Pend.ResendNs != 500 {
 		t.Fatalf("recovery did not make the held proposal due: %+v", b.Pend)
 	}
-	if out := mc.Resend(b, 500); len(out.Send) != 1 || out.Send[0].Kind != MsgPropose {
+	if out := mc.Resend(b, 500); out.Msg.Kind != MsgPropose {
 		t.Fatalf("post-recovery resend: %+v", out)
+	}
+}
+
+// TestMachineStepsAllocateNothing pins the machine's steps to zero heap
+// allocations: a step returns its one message by value and keeps its lock
+// state inline, so only a node's first apply (its watermark slots) may
+// allocate.
+func TestMachineStepsAllocateNothing(t *testing.T) {
+	mc, sts := testMachine(t)
+	a, b, c := sts[0], sts[1], sts[2]
+	ab, cb := halfEdgeTo(t, mc, 0, 1), halfEdgeTo(t, mc, 2, 1)
+	commit := func() {
+		lock := mc.Initiate(a, ab, 0).Msg
+		prop := mc.Deliver(b, lock, 1, false).Msg
+		mc.Deliver(b, mc.Deliver(a, prop, 2, false).Msg, 3, false)
+	}
+	commit() // a's first apply allocates its watermark slots
+	paths := []struct {
+		name string
+		run  func()
+	}{
+		{"Initiate-LOCK-PROPOSE-COMMIT", commit},
+		{"NACK", func() {
+			lock := mc.Initiate(a, ab, 0).Msg
+			mc.Deliver(b, lock, 1, false)
+			busy := mc.Deliver(b, mc.Initiate(c, cb, 2).Msg, 3, false).Msg
+			mc.Deliver(c, busy, 4, false) // c's initiation aborts
+			mc.TimeoutAwait(a)
+			refused := mc.Deliver(a, mc.proposal(b), 5, false).Msg
+			mc.Deliver(b, refused, 6, false) // b rolls its proposal back
+		}},
+		{"Timeout-Resend-Crash-Recover", func() {
+			lock := mc.Initiate(a, ab, 0).Msg
+			mc.Deliver(b, lock, 1, false)
+			mc.Resend(b, 2)
+			mc.Crash(b)
+			mc.Recover(b, 3)
+			mc.TimeoutAwait(a)
+			mc.Deliver(b, mc.Deliver(a, mc.Resend(b, 4).Msg, 5, false).Msg, 6, false)
+		}},
+	}
+	for _, p := range paths {
+		if n := testing.AllocsPerRun(100, p.run); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", p.name, n)
+		}
+		if a.Locked() || b.Locked() || c.Locked() {
+			t.Fatalf("%s left a node locked: %+v %+v %+v", p.name, a, b, c)
+		}
 	}
 }

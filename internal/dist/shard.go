@@ -593,31 +593,7 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	close(stopC)
 	rt.wg.Wait()
 
-	// Settle any proposals stranded by a failed transport. All shard loops
-	// have exited, so cross-shard state reads are safe; each held proposal
-	// is resolved the way its initiator already decided: if the initiator
-	// applied (+delta committed but the COMMIT message was lost), land the
-	// responder's half; otherwise nothing was applied anywhere and the
-	// proposal is simply discarded. The sum stays exact even across a
-	// transport death. On a healthy shutdown this loop finds nothing.
-	for _, s := range rt.shards {
-		for li := range s.states {
-			st := &s.states[li]
-			if st.Pend != nil {
-				init := rt.stateOf(st.Pend.Msg.To)
-				if init.LastApplied[st.ID] >= st.Pend.Msg.Seq {
-					st.X -= st.Pend.Msg.X
-					rt.exchanges.Add(1)
-					s.committed.Add(1)
-					rt.met.publish(st.ID, st.X)
-				}
-				st.Pend = nil
-			}
-			st.Await = nil
-		}
-	}
-	rt.awaiting.Store(0)
-	rt.pending.Store(0)
+	rt.settle()
 
 	for _, s := range rt.shards {
 		for li := range s.states {
@@ -630,6 +606,38 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	rt.errMu.Lock()
 	defer rt.errMu.Unlock()
 	return rt.sendErr
+}
+
+// settle resolves the proposals a failed transport stranded. It runs after
+// every shard loop has exited, so cross-shard state reads are safe. Each
+// held proposal is resolved the way its initiator already decided: if the
+// initiator applied (+delta committed but the COMMIT message was lost),
+// land the responder's half; otherwise nothing was applied anywhere and
+// the proposal is simply discarded. The initiator applied iff its
+// watermark for this responder *equals* the proposal's seq: a proposal
+// below the watermark is a resurrected aborted LOCK the initiator refused
+// (see MutLaxWatermarkDedup), and committing it would break the sum. The
+// sum stays exact even across a transport death. On a healthy shutdown
+// this finds nothing.
+func (rt *ShardRuntime) settle() {
+	for _, s := range rt.shards {
+		for li := range s.states {
+			st := &s.states[li]
+			if st.Pend.Live() {
+				init := rt.stateOf(int(st.Pend.To))
+				if rt.mc.Watermark(init, st.ID) == st.Pend.Seq {
+					st.X -= st.Pend.Delta
+					rt.exchanges.Add(1)
+					s.committed.Add(1)
+					rt.met.publish(st.ID, st.X)
+				}
+				st.Pend = PendState{}
+			}
+			st.Await = AwaitState{}
+		}
+	}
+	rt.awaiting.Store(0)
+	rt.pending.Store(0)
 }
 
 func (rt *ShardRuntime) noteSendErr(err error) {
@@ -659,7 +667,7 @@ func (s *shard) resetForRun(start time.Time) {
 	for li := range s.states {
 		st := &s.states[li]
 		st.X = rt.values[s.lo+li]
-		st.Await, st.Pend = nil, nil
+		st.Await, st.Pend = AwaitState{}, PendState{}
 		s.clocks[li] = wheelTimer{node: int32(s.lo + li), kind: tkClock}
 		s.protos[li] = wheelTimer{node: int32(s.lo + li), kind: tkProto}
 		s.scheduleClock(li, start)
@@ -706,7 +714,10 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 	defer tick.Stop()
 	for {
 		busy := s.drainMessages() > 0
-		s.w.advance(time.Now().UnixNano(), s.fire)
+		// One clock read serves every timer this advance fires, as one
+		// serves a whole drained batch.
+		now := time.Now()
+		s.w.advance(now.UnixNano(), func(t *wheelTimer) { s.fire(t, now) })
 		s.flush()
 
 		// Control signals are polled every iteration so a saturated shard
@@ -790,10 +801,9 @@ func (s *shard) deliver(m Message, now time.Time) {
 	s.step(abs, stepDeliver, m, graph.HalfEdge{}, now)
 }
 
-// fire dispatches one expired wheel timer.
-func (s *shard) fire(t *wheelTimer) {
+// fire dispatches one expired wheel timer at the advance's clock reading.
+func (s *shard) fire(t *wheelTimer, now time.Time) {
 	abs := int(t.node)
-	now := time.Now()
 	switch t.kind {
 	case tkClock:
 		s.fireClock(abs, now)
@@ -826,10 +836,10 @@ func (s *shard) fireProto(abs int, now time.Time) {
 	li := abs - s.lo
 	st := &s.states[li]
 	nowNs := now.UnixNano()
-	if st.Await != nil && nowNs >= st.Await.DeadlineNs {
+	if st.Await.Live() && nowNs >= s.rt.mc.AwaitDeadline(st) {
 		s.step(abs, stepTimeout, Message{}, graph.HalfEdge{}, now)
 	}
-	if st.Pend != nil && nowNs >= st.Pend.ResendNs {
+	if st.Pend.Live() && nowNs >= st.Pend.ResendNs {
 		s.step(abs, stepResend, Message{}, graph.HalfEdge{}, now)
 	}
 	// Quantisation can fire a slot before the deadline's sub-tick offset;
@@ -955,9 +965,9 @@ func (s *shard) armProto(li int) {
 	t := &s.protos[li]
 	var when int64
 	switch {
-	case st.Await != nil:
-		when = st.Await.DeadlineNs
-	case st.Pend != nil:
+	case st.Await.Live():
+		when = s.rt.mc.AwaitDeadline(st)
+	case st.Pend.Live():
 		when = st.Pend.ResendNs
 	default:
 		s.w.cancel(t)
@@ -969,7 +979,7 @@ func (s *shard) armProto(li int) {
 }
 
 // applyOut folds a StepOut into the runtime's counters and telemetry and
-// sends its messages.
+// sends its message.
 func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 	rt := s.rt
 	if out.Proposed {
@@ -1005,8 +1015,8 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 			h.Observe(out.LatencyNs)
 		}
 	}
-	for _, m := range out.Send {
-		s.send(m, nowNs)
+	if out.Msg.Kind != 0 {
+		s.send(out.Msg, nowNs)
 	}
 }
 

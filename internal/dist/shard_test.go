@@ -80,7 +80,7 @@ func TestShardLockstepEquivalence(t *testing.T) {
 			rec2 := flight.New(g.NumNodes(), 1<<14)
 			states := make([]*NodeState, g.NumNodes())
 			for i := range states {
-				states[i] = NewNodeState(i, x0[i])
+				states[i] = &NodeState{ID: i, X: x0[i]}
 			}
 			for k, ev := range events {
 				st := states[ev.node]
@@ -108,14 +108,14 @@ func TestShardLockstepEquivalence(t *testing.T) {
 					// Ghost provenance: the pend this commit resolved names
 					// the initiator and seq; that initiator must already
 					// have applied it.
-					if pre.pendMsg.To < 0 || states[pre.pendMsg.To].LastApplied[ev.node] < pre.pendMsg.Seq {
+					if p := pre.pend; !p.Live() || mc.Watermark(states[p.To], ev.node) < p.Seq {
 						t.Fatalf("event %d: node %d committed seq %d before initiator %d applied it (stale commit)",
-							k, ev.node, pre.pendMsg.Seq, pre.pendMsg.To)
+							k, ev.node, p.Seq, p.To)
 					}
 				}
 				emitStepRec(rec2, ev.node, ev.kind, ev.msg, out, pre, ev.nowNs)
-				for _, m := range out.Send {
-					FlightEmitter{Rec: rec2}.Send(ev.node, m, ev.nowNs)
+				if out.Msg.Kind != 0 {
+					FlightEmitter{Rec: rec2}.Send(ev.node, out.Msg, ev.nowNs)
 				}
 			}
 			// The settle loop only acts on a dead transport; on this healthy
@@ -449,6 +449,65 @@ func TestShardRuntimeSendAfterTransportClose(t *testing.T) {
 			}
 			tr.Close() // idempotent; ensures full unwind before the leak check
 			base.Check(t)
+		})
+	}
+}
+
+// TestShardSettleWatermarkEquality pins the settle pass's applied test to
+// watermark equality. After a transport death, a held proposal whose seq is
+// *below* its initiator's watermark is a resurrected aborted LOCK (a
+// reordering transport delivered it after a later exchange with the same
+// pair committed); the initiator refused it and never applied it, so
+// settle must discard it. Committing it, as a ">=" test does, moves the
+// responder by -delta alone and breaks the sum.
+func TestShardSettleWatermarkEquality(t *testing.T) {
+	cases := []struct {
+		name      string
+		watermark uint64
+		commits   bool
+	}{
+		{"initiator applied this proposal", 3, true},
+		{"resurrected proposal below the watermark", 5, false},
+		{"initiator never applied", 0, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, _, x0 := dumbbellCase(t)
+			rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			he := g.Neighbors(0)[0]
+			init, resp := rt.stateOf(0), rt.stateOf(int(he.Peer))
+			const seq, delta = 3, 0.25
+			// The initiator's half: applied (+delta) iff its watermark for
+			// this responder equals the held proposal's seq.
+			init.Seq = 5
+			if c.watermark != 0 {
+				rt.mc.noteApplied(init, resp.ID, c.watermark)
+			}
+			if c.commits {
+				init.X += delta
+			}
+			resp.Pend = PendState{Seq: seq, Delta: delta, To: 0, Edge: he.Edge}
+			before := init.X + resp.X
+
+			rt.settle()
+
+			if resp.Pend.Live() {
+				t.Fatal("settle left the proposal held")
+			}
+			wantCommits, wantSum := int64(0), before
+			if c.commits {
+				wantCommits, wantSum = 1, before-delta
+			}
+			if got := rt.Exchanges(); got != wantCommits {
+				t.Errorf("settle committed %d exchanges, want %d", got, wantCommits)
+			}
+			// Either way the pair's sum is back at its pre-exchange value.
+			if after := init.X + resp.X; after != wantSum {
+				t.Errorf("pair sum %v after settle, want %v", after, wantSum)
+			}
 		})
 	}
 }

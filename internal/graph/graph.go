@@ -14,10 +14,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a vertex. IDs are dense: 0 <= id < NumNodes().
@@ -122,7 +123,8 @@ func (g *Graph) CSR() (offsets, peers, edges []int32) {
 // Degree returns the number of neighbours of node u.
 func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
 
-// Neighbors returns u's adjacency list. The caller must not modify it.
+// Neighbors returns u's adjacency list, sorted by peer id. The caller must
+// not modify it.
 func (g *Graph) Neighbors(u NodeID) []HalfEdge { return g.adj[u] }
 
 // MaxDegree returns the largest degree in the graph (0 for an empty graph).
@@ -266,13 +268,35 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.pos != nil {
 		g.pos = append([]Point(nil), b.pos...)
 	}
-	for id, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], HalfEdge{Peer: e.V, Edge: EdgeID(id)})
-		g.adj[e.V] = append(g.adj[e.V], HalfEdge{Peer: e.U, Edge: EdgeID(id)})
+	// CSR offsets from the degrees, then every adjacency list carved out
+	// of one backing array: two allocations instead of a growing slice per
+	// node.
+	g.csrOff = make([]int32, b.n+1)
+	for _, e := range g.edges {
+		g.csrOff[e.U+1]++
+		g.csrOff[e.V+1]++
 	}
-	// Deterministic neighbour order regardless of insertion order.
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i].Peer < a[j].Peer })
+	for u := 0; u < b.n; u++ {
+		g.csrOff[u+1] += g.csrOff[u]
+	}
+	half := make([]HalfEdge, 2*len(g.edges))
+	next := append([]int32(nil), g.csrOff[:b.n]...)
+	for id, e := range g.edges {
+		half[next[e.U]] = HalfEdge{Peer: e.V, Edge: EdgeID(id)}
+		next[e.U]++
+		half[next[e.V]] = HalfEdge{Peer: e.U, Edge: EdgeID(id)}
+		next[e.V]++
+	}
+	for u := range g.adj {
+		lo, hi := g.csrOff[u], g.csrOff[u+1]
+		if lo == hi {
+			continue // an isolated node keeps a nil list
+		}
+		a := half[lo:hi:hi]
+		// Deterministic neighbour order regardless of insertion order (the
+		// peers of a simple graph are distinct, so the order is unique).
+		slices.SortFunc(a, func(x, y HalfEdge) int { return cmp.Compare(x.Peer, y.Peer) })
+		g.adj[u] = a
 	}
 	// Flat endpoint arrays and CSR adjacency for simulation kernels.
 	g.edgeU = make([]int32, len(g.edges))
@@ -281,19 +305,12 @@ func (b *Builder) Build() (*Graph, error) {
 		g.edgeU[id] = int32(e.U)
 		g.edgeV[id] = int32(e.V)
 	}
-	g.csrOff = make([]int32, b.n+1)
-	g.csrPeer = make([]int32, 2*len(g.edges))
-	g.csrEdge = make([]int32, 2*len(g.edges))
-	k := 0
-	for u, a := range g.adj {
-		g.csrOff[u] = int32(k)
-		for _, he := range a {
-			g.csrPeer[k] = int32(he.Peer)
-			g.csrEdge[k] = int32(he.Edge)
-			k++
-		}
+	g.csrPeer = make([]int32, len(half))
+	g.csrEdge = make([]int32, len(half))
+	for k, he := range half {
+		g.csrPeer[k] = int32(he.Peer)
+		g.csrEdge[k] = int32(he.Edge)
 	}
-	g.csrOff[b.n] = int32(k)
 	return g, nil
 }
 

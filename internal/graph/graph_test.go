@@ -113,6 +113,38 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 }
 
+// The adjacency lists share one backing array, so each is capped at its
+// length: appending to one node's list must never write into the next
+// node's. An isolated node's list stays nil.
+func TestNeighborsOwnCapacity(t *testing.T) {
+	g := NewBuilder(5).AddEdge(3, 0).AddEdge(0, 1).AddEdge(1, 3).AddEdge(2, 1).MustBuild()
+	want := [][]HalfEdge{
+		{{Peer: 1, Edge: 1}, {Peer: 3, Edge: 0}},
+		{{Peer: 0, Edge: 1}, {Peer: 2, Edge: 3}, {Peer: 3, Edge: 2}},
+		{{Peer: 1, Edge: 3}},
+		{{Peer: 0, Edge: 0}, {Peer: 1, Edge: 2}},
+		nil,
+	}
+	for u := range want {
+		nb := g.Neighbors(NodeID(u))
+		if cap(nb) != len(nb) {
+			t.Errorf("node %d: cap %d > len %d", u, cap(nb), len(nb))
+		}
+		_ = append(nb, HalfEdge{Peer: 99, Edge: 99})
+	}
+	for u, w := range want {
+		nb := g.Neighbors(NodeID(u))
+		if (nb == nil) != (w == nil) || len(nb) != len(w) {
+			t.Fatalf("node %d: neighbours %v, want %v", u, nb, w)
+		}
+		for k := range w {
+			if nb[k] != w[k] {
+				t.Errorf("node %d: neighbours %v, want %v", u, nb, w)
+			}
+		}
+	}
+}
+
 func TestZeroValueGraph(t *testing.T) {
 	var g Graph
 	if g.NumNodes() != 0 || g.NumEdges() != 0 || g.MaxDegree() != 0 {
