@@ -58,7 +58,7 @@ type Spec struct {
 }
 
 // RuleSpec describes an exchange rule by value so it survives a trip
-// through trace JSON and can be rebuilt as a cloneable, checker-local rule
+// through trace JSON and can be rebuilt as a copyable, checker-local rule
 // (the checker backtracks, so it cannot share dist.SparseCutRule's atomic
 // tick counter across forked worlds).
 type RuleSpec struct {
@@ -84,8 +84,9 @@ func SparseCut(sides []int, cutEdge int, epochK int64, weight float64) RuleSpec 
 
 // checkRule is the checker-local counterpart of dist.VanillaRule /
 // dist.SparseCutRule: same Delta arithmetic (cross-checked against the dist
-// rules in check_test.go) but with a plain tick counter so a forked world
-// snapshots and restores rule state exactly.
+// rules in check_test.go) but with a plain tick counter so copying a world
+// snapshots and restores rule state exactly. A copy by value is exact:
+// spec and isCut are immutable after buildRule.
 type checkRule struct {
 	spec  RuleSpec
 	isCut []bool // nil for vanilla
@@ -145,11 +146,6 @@ func (r *checkRule) Delta(e graph.EdgeID, _ graph.NodeID, xInit, xResp float64) 
 	}
 }
 
-func (r *checkRule) clone() *checkRule {
-	cp := *r
-	return &cp // spec and isCut are immutable after buildRule
-}
-
 // Options bounds an exploration. The zero value means "use defaults" for
 // every budget; fault actions are opt-in flags.
 type Options struct {
@@ -174,7 +170,7 @@ type Options struct {
 	Dups bool `json:"dups,omitempty"`
 	// Crashes enables crash/recover actions.
 	Crashes bool `json:"crashes,omitempty"`
-	// QuiescenceEvery runs the (cloned-world) quiescence drain check after
+	// QuiescenceEvery runs the (copied-world) quiescence drain check after
 	// every QuiescenceEvery-th action: 0 means after every action, a
 	// negative value disables the check.
 	QuiescenceEvery int `json:"quiescence_every,omitempty"`

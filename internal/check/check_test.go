@@ -47,9 +47,9 @@ func TestExhaustiveTriangleClean(t *testing.T) {
 
 // TestExhaustiveTrianglePinnedCounts pins the exact size of one explored
 // state space. The counts depend on the action alphabet, the state hash and
-// the clone: a change to how world states are copied or fingerprinted that
-// merges or splits states shows up here as a changed count, even when no
-// invariant fails.
+// the world copy: a change to how world states are copied or fingerprinted
+// that merges or splits states shows up here as a changed count, even when
+// no invariant fails.
 func TestExhaustiveTrianglePinnedCounts(t *testing.T) {
 	spec := Spec{Graph: graph.Complete(3), X0: []float64{-2, 1, -1}, Rule: Vanilla()}
 	res, err := Exhaustive(spec, faultOptions(8))

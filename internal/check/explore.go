@@ -17,8 +17,16 @@ func Exhaustive(spec Spec, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &explorer{spec: spec, opt: opt, res: &Result{}, visited: make(map[uint64]int)}
-	e.dfs(w, 0)
+	e := &explorer{
+		spec: spec, opt: opt, res: &Result{}, visited: make(map[uint64]int),
+		frames: make([]*world, opt.MaxDepth+1),
+		acts:   make([][]Action, opt.MaxDepth+1),
+	}
+	e.frames[0] = w
+	for i := 1; i < len(e.frames); i++ {
+		e.frames[i] = w.blank()
+	}
+	e.dfs(0)
 	return e.res, nil
 }
 
@@ -32,11 +40,18 @@ type explorer struct {
 	// below it).
 	visited map[uint64]int
 	path    []Action
+	// frames[d] is the world at DFS depth d: each transition out of depth
+	// d copies frames[d] into frames[d+1] and applies one action there,
+	// so the search allocates no world after it starts. acts[d] is depth
+	// d's reused enabled-action buffer.
+	frames []*world
+	acts   [][]Action
 }
 
-// dfs explores from w; false aborts the whole search (violation found or
-// state budget spent).
-func (e *explorer) dfs(w *world, depth int) bool {
+// dfs explores from frames[depth]; false aborts the whole search
+// (violation found or state budget spent).
+func (e *explorer) dfs(depth int) bool {
+	w := e.frames[depth]
 	rem := e.opt.MaxDepth - depth
 	h := w.hash()
 	if prev, ok := e.visited[h]; ok && prev >= rem {
@@ -55,10 +70,13 @@ func (e *explorer) dfs(w *world, depth int) bool {
 	if rem <= 0 {
 		return true
 	}
-	for _, a := range w.enabled() {
-		w2 := w.clone()
+	acts := w.enabled(e.acts[depth])
+	e.acts[depth] = acts
+	next := e.frames[depth+1]
+	for _, a := range acts {
+		next.copyFrom(w)
 		e.res.Transitions++
-		err := w2.apply(a)
+		err := next.apply(a)
 		e.path = append(e.path, a)
 		if err != nil {
 			if v, ok := err.(*Violation); ok {
@@ -70,7 +88,7 @@ func (e *explorer) dfs(w *world, depth int) bool {
 			e.path = e.path[:len(e.path)-1]
 			continue
 		}
-		ok := e.dfs(w2, depth+1)
+		ok := e.dfs(depth + 1)
 		e.path = e.path[:len(e.path)-1]
 		if !ok {
 			return false
@@ -95,9 +113,9 @@ func RandomWalk(spec Spec, opt Options, seed uint64, walks int) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		var path []Action
+		var path, acts []Action
 		for depth := 0; depth < opt.MaxDepth; depth++ {
-			acts := w.enabled()
+			acts = w.enabled(acts)
 			if len(acts) == 0 {
 				break
 			}
@@ -133,9 +151,9 @@ func RunSchedule(spec Spec, opt Options, schedule []byte) ([]Action, *Violation,
 	if err != nil {
 		return nil, nil, err
 	}
-	var path []Action
+	var path, acts []Action
 	for _, b := range schedule {
-		acts := w.enabled()
+		acts = w.enabled(acts)
 		if len(acts) == 0 {
 			break
 		}
@@ -164,7 +182,7 @@ func EncodeSchedule(spec Spec, opt Options, actions []Action) ([]byte, error) {
 	out := make([]byte, 0, len(actions))
 	for i, a := range actions {
 		idx := -1
-		for j, b := range w.enabled() {
+		for j, b := range w.enabled(nil) {
 			if a.same(b) {
 				idx = j
 				break

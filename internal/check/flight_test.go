@@ -124,9 +124,10 @@ func TestReplayFlightSpans(t *testing.T) {
 }
 
 // TestExplorationUnpolluted guards the DFS hot path: a world explored
-// without a recorder must never allocate flight state, and clones made
-// for invariant quiescence drains must not inherit the recorder (their
-// speculative steps would pollute the capture).
+// without a recorder must never allocate flight state, and neither the
+// per-depth frames copyFrom fills nor the scratch world the quiescence
+// drains run on may inherit a recorder (their speculative steps would
+// pollute the capture).
 func TestExplorationUnpolluted(t *testing.T) {
 	w, err := newWorld(triangleSpec(), faultOptions(6))
 	if err != nil {
@@ -137,8 +138,22 @@ func TestExplorationUnpolluted(t *testing.T) {
 	}
 	rec := flight.New(3, 0)
 	w.rec = rec
-	cp := w.clone()
-	if cp.rec != nil {
-		t.Fatal("clone inherited the recorder; quiescence drains would record phantom events")
+	frame := w.blank()
+	frame.rec = flight.New(3, 0) // a frame's own stale recorder must go too
+	frame.copyFrom(w)
+	if frame.rec != nil {
+		t.Fatal("copyFrom kept a recorder; explored frames would record phantom events")
+	}
+	if frame.scratch != w.scratch || w.scratch == nil || w.scratch == w {
+		t.Fatal("frames must share their source's separate drain scratch")
+	}
+	if err := w.apply(Action{Op: OpInitiate, Node: 0, Edge: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if w.scratch.rec != nil {
+		t.Fatal("drain scratch inherited the recorder; quiescence drains would record phantom events")
+	}
+	if len(rec.Snapshot().Events) == 0 {
+		t.Fatal("the recording world itself recorded nothing")
 	}
 }

@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sparsecut/internal/dist"
 	"sparsecut/internal/flight"
@@ -34,26 +33,45 @@ type exKey struct {
 	seq  uint64
 }
 
+// lockValue is one ghost-provenance record: the initiator's value when
+// exchange attempt k's LOCK went out.
+type lockValue struct {
+	k exKey
+	x float64
+}
+
 // world is one explored state of the whole system: every node's protocol
 // state, the crash bitmap, the virtual network (an ordered multiset of
 // in-flight messages — delivery order is the checker's choice, which is
 // what models reordering), and the ghost state the invariants need.
+//
+// Worlds are reused, not forked: the explorer keeps one world per DFS
+// depth and overwrites it with copyFrom for every transition. A world is
+// always heap-allocated (newWorld, blank) and never copied as a struct,
+// because mc.Rule points at the world's own rule.
 type world struct {
 	g    *graph.Graph
 	opt  Options
-	rule *checkRule
+	rule checkRule
 	mc   dist.Machine
 
 	nodes   []dist.NodeState
 	crashed []bool
 	net     []dist.Message
 
+	// la holds every node's apply watermarks in one flat array parallel
+	// to the graph's CSR half-edges. nodes[i].LastApplied is the capped
+	// sub-slice of node i's half-edges (bindWatermarks), so the machine
+	// never allocates one and a copy is a single copy().
+	la []uint64
+
 	// xInit is ghost provenance: the initiator's value at the moment each
 	// exchange attempt's LOCK went out. The no-stale-commit invariant
 	// checks every initiator apply against it — the protocol's claim is
 	// precisely that a committed delta was computed from the initiator's
-	// current value.
-	xInit map[exKey]float64
+	// current value. It holds one entry per initiation, a handful, so a
+	// slice searched from the end replaces a map.
+	xInit []lockValue
 
 	sum0  float64
 	nowNs int64
@@ -65,9 +83,16 @@ type world struct {
 	// rec, when non-nil, receives a flight record for every applied
 	// action (ReplayFlight sets it on the top-level replay world; the
 	// emission mapping is dist.FlightEmitter, shared with the live
-	// runtime). Clones drop it, so the throwaway quiescence drains the
-	// invariants run record nothing.
+	// runtime). copyFrom never copies it, so explored frames and the
+	// throwaway quiescence drains record nothing.
 	rec *flight.Recorder
+
+	// scratch is the world the quiescence drain runs on: invariants copies
+	// this world into it first. Worlds made by blank share their source's
+	// scratch, so one exploration has one.
+	scratch *world
+	// keys is hash's reusable buffer of in-flight message keys.
+	keys [][2]uint64
 }
 
 func newWorld(spec Spec, opt Options) (*world, error) {
@@ -92,52 +117,82 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 	w := &world{
 		g:       spec.Graph,
 		opt:     opt,
-		rule:    rule,
+		rule:    *rule,
 		nodes:   make([]dist.NodeState, n),
 		crashed: make([]bool, n),
-		xInit:   make(map[exKey]float64),
+		la:      make([]uint64, 2*spec.Graph.NumEdges()),
 		sum0:    sum0,
 	}
 	w.mc = dist.Machine{
-		G: spec.Graph, Rule: rule, Epoch: 1,
+		G: spec.Graph, Rule: &w.rule, Epoch: 1,
 		LockTimeoutNs: vLockTimeoutNs, ResendEveryNs: vResendNs,
 		Mutate: opt.Mutation,
 	}
 	for i := range w.nodes {
 		w.nodes[i] = dist.NodeState{ID: i, X: spec.X0[i]}
 	}
+	w.bindWatermarks()
+	w.scratch = w.blank()
 	return w, nil
 }
 
-// clone forks the world for one explored branch. Everything mutable is
-// deep-copied, including the rule (its tick counter is protocol state the
-// DFS must backtrack).
-func (w *world) clone() *world {
-	cp := *w
-	cp.rule = w.rule.clone()
-	cp.mc.Rule = cp.rule
-	cp.nodes = append([]dist.NodeState(nil), w.nodes...)
-	for i := range cp.nodes {
-		// The watermark slots are the one part of a node the machine
-		// writes through a pointer.
-		if la := cp.nodes[i].LastApplied; la != nil {
-			cp.nodes[i].LastApplied = append([]uint64(nil), la...)
-		}
+// blank allocates a world for the same system as w, with buffers sized for
+// it, for copyFrom to fill. It shares w's scratch.
+func (w *world) blank() *world {
+	b := &world{
+		g:       w.g,
+		opt:     w.opt,
+		mc:      w.mc,
+		nodes:   make([]dist.NodeState, len(w.nodes)),
+		crashed: make([]bool, len(w.crashed)),
+		la:      make([]uint64, len(w.la)),
+		sum0:    w.sum0,
+		scratch: w.scratch,
 	}
-	cp.crashed = append([]bool(nil), w.crashed...)
-	cp.net = append([]dist.Message(nil), w.net...)
-	cp.xInit = make(map[exKey]float64, len(w.xInit))
-	for k, v := range w.xInit {
-		cp.xInit[k] = v
-	}
-	cp.rec = nil
-	return &cp
+	b.mc.Rule = &b.rule
+	return b
 }
 
-// enabled enumerates the actions explorable from this state, in a fixed
-// deterministic order (the order defines what a schedule byte selects).
-func (w *world) enabled() []Action {
-	var acts []Action
+// copyFrom overwrites w with src's state, reusing w's buffers, so once
+// they have grown to fit it allocates nothing. Everything mutable is
+// copied by value, including the rule (its tick counter is protocol state
+// the DFS must backtrack); the recorder is not.
+func (w *world) copyFrom(src *world) {
+	w.rule = src.rule
+	copy(w.nodes, src.nodes)
+	copy(w.la, src.la)
+	w.bindWatermarks() // the copied nodes still point into src.la
+	copy(w.crashed, src.crashed)
+	w.net = append(w.net[:0], src.net...)
+	w.xInit = append(w.xInit[:0], src.xInit...)
+	w.nowNs, w.steps = src.nowNs, src.steps
+	w.inits, w.dups, w.resends, w.crashes = src.inits, src.dups, src.resends, src.crashes
+	w.rec = nil
+}
+
+// bindWatermarks points every node's LastApplied at its slots of w.la.
+func (w *world) bindWatermarks() {
+	off, _, _ := w.g.CSR()
+	for i := range w.nodes {
+		w.nodes[i].LastApplied = w.la[off[i]:off[i+1]:off[i+1]]
+	}
+}
+
+// lockX returns the provenance value recorded for k, if any.
+func (w *world) lockX(k exKey) (float64, bool) {
+	for i := len(w.xInit) - 1; i >= 0; i-- {
+		if w.xInit[i].k == k {
+			return w.xInit[i].x, true
+		}
+	}
+	return 0, false
+}
+
+// enabled enumerates the actions explorable from this state into acts
+// (overwritten, reusing its capacity), in a fixed deterministic order (the
+// order defines what a schedule byte selects).
+func (w *world) enabled(acts []Action) []Action {
+	acts = acts[:0]
 	for i := range w.net {
 		acts = append(acts, Action{Op: OpDeliver, Msg: i})
 	}
@@ -233,7 +288,7 @@ func (w *world) apply(a Action) error {
 		out := w.mc.Initiate(st, adj[a.Edge], w.nowNs)
 		w.inits++
 		if m := out.Msg; m.Kind == dist.MsgLock {
-			w.xInit[exKey{st.ID, m.Seq}] = m.X
+			w.xInit = append(w.xInit, lockValue{exKey{st.ID, m.Seq}, m.X})
 		}
 		if w.rec != nil {
 			fe := dist.FlightEmitter{Rec: w.rec}
@@ -384,7 +439,7 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 		// Provenance: the delta the initiator just applied was computed by
 		// the responder from the value the LOCK carried. If that is not the
 		// initiator's value at apply time, a stale exchange committed.
-		rec, ok := w.xInit[exKey{st.ID, m.Seq}]
+		rec, ok := w.lockX(exKey{st.ID, m.Seq})
 		if !ok || rec != xBefore {
 			return &Violation{Invariant: invStaleCommit, Detail: fmt.Sprintf(
 				"node %d applied proposal seq %d from node %d computed against value %v, but its value at apply time is %v",
@@ -406,7 +461,7 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 
 // invariants runs the per-step safety checks: lock-state sanity, the
 // crash-adjusted sum, and (on its configured cadence) the quiescence
-// drain on a throwaway clone.
+// drain on a throwaway copy in the scratch world.
 func (w *world) invariants() error {
 	if err := w.lockSanity(); err != nil {
 		return err
@@ -417,7 +472,8 @@ func (w *world) invariants() error {
 	if q := w.opt.QuiescenceEvery; q < 0 || (q > 1 && w.steps%q != 0) {
 		return nil
 	}
-	return w.clone().drain()
+	w.scratch.copyFrom(w)
+	return w.scratch.drain()
 }
 
 func (w *world) lockSanity() error {
@@ -474,7 +530,7 @@ func (w *world) sumInvariant() error {
 	return nil
 }
 
-// drain runs the deterministic quiescence procedure on (a clone of) the
+// drain runs the deterministic quiescence procedure on (a copy of) the
 // world: recover everyone, then repeatedly deliver the oldest in-flight
 // message, else retransmit a held proposal, else time out an outstanding
 // initiation — the drain counterpart of the runtime's drain phase (new
@@ -496,8 +552,7 @@ func (w *world) drain() error {
 		}
 		w.nowNs += vTick
 		if len(w.net) > 0 {
-			m := w.net[0]
-			w.net = w.net[1:]
+			m, _ := w.takeMsg(0) // shifts in place, keeping the buffer's capacity
 			if err := w.deliver(m, true); err != nil {
 				if v, ok := err.(*Violation); ok {
 					v.Detail = "during quiescence drain: " + v.Detail
@@ -578,11 +633,7 @@ func (w *world) hash() uint64 {
 		}
 		// One word per neighbour slot, 0 before the node's first apply.
 		for k := range w.g.Neighbors(graph.NodeID(i)) {
-			var seq uint64
-			if st.LastApplied != nil {
-				seq = st.LastApplied[k]
-			}
-			mix(seq)
+			mix(st.LastApplied[k])
 		}
 		if w.crashed[i] {
 			mix(1)
@@ -590,16 +641,18 @@ func (w *world) hash() uint64 {
 			mix(0)
 		}
 	}
-	keys := make([][2]uint64, len(w.net))
-	for i, m := range w.net {
-		keys[i] = msgKey(m)
+	keys := w.keys[:0]
+	for _, m := range w.net {
+		keys = append(keys, msgKey(m))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	w.keys = keys
+	// Insertion sort: the network holds a handful of messages, and unlike
+	// sort.Slice it allocates nothing.
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keyLess(keys[j], keys[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
-		return keys[i][1] < keys[j][1]
-	})
+	}
 	mix(uint64(len(keys)))
 	for _, k := range keys {
 		mix(k[0])
@@ -617,6 +670,10 @@ func (w *world) hash() uint64 {
 		mix(uint64(w.steps % q))
 	}
 	return h
+}
+
+func keyLess(a, b [2]uint64) bool {
+	return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
 }
 
 // msgKey packs a message's time-independent identity for hashing.
