@@ -676,9 +676,12 @@ func keyLess(a, b [2]uint64) bool {
 	return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
 }
 
-// msgKey packs a message's time-independent identity for hashing.
+// msgKey packs a message's time-independent identity for hashing. Re
+// takes the top four bits: a NACK refusing a LOCK and one refusing a
+// held proposal can agree on every other field, yet Machine.Deliver
+// handles them differently, so they are different states.
 func msgKey(m dist.Message) [2]uint64 {
-	k := uint64(m.Kind)<<56 | uint64(uint8(m.From))<<48 | uint64(uint8(m.To))<<40 |
+	k := uint64(m.Re)<<60 | uint64(m.Kind)<<56 | uint64(uint8(m.From))<<48 | uint64(uint8(m.To))<<40 |
 		uint64(uint16(m.Edge))<<24 | (m.Seq & 0xffffff)
 	return [2]uint64{k, math.Float64bits(m.X)}
 }

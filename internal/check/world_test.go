@@ -92,3 +92,22 @@ func TestFrameIsolation(t *testing.T) {
 	}
 	t.Logf("%d frame actions moved a watermark", applies)
 }
+
+// TestHashSeesNackRe: two worlds that differ only in which request an
+// in-flight NACK answers have different futures (the initiator aborts on
+// one, the responder rolls back on the other), so they must not hash
+// alike and be merged by the explorer's dedup.
+func TestHashSeesNackRe(t *testing.T) {
+	var h [2]uint64
+	for i, re := range []dist.MsgKind{dist.MsgLock, dist.MsgPropose} {
+		w, err := newWorld(triangleSpec(), faultOptions(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.net = append(w.net, dist.Message{Kind: dist.MsgNack, From: 1, To: 0, Seq: 1, Re: re})
+		h[i] = w.hash()
+	}
+	if h[0] == h[1] {
+		t.Fatalf("a NACK answering a LOCK and one answering a PROPOSE hash alike (%#x)", h[0])
+	}
+}
