@@ -38,7 +38,7 @@ import (
 func main() {
 	var (
 		graphKind = flag.String("graph", "triangle", "graph family: triangle | path | ring | clique | dumbbell")
-		n         = flag.Int("n", 3, "number of nodes (3..5 recommended; dumbbell needs an even count)")
+		n         = flag.Int("n", 3, "number of nodes (3..5 recommended, at most 256; dumbbell needs an even count)")
 		ruleKind  = flag.String("rule", "vanilla", "exchange rule: vanilla | A (A needs -graph dumbbell)")
 		epochK    = flag.Int64("epoch", 2, "swap period K in ticks of ec (rule A)")
 		mode      = flag.String("mode", "exhaustive", "exploration mode: exhaustive | walk")

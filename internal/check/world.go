@@ -110,6 +110,17 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 		}
 		sum0 += x
 	}
+	// msgKey packs node IDs into 8 bits and seqs into 24; past those widths
+	// distinct messages would hash alike and the explorer would merge
+	// states. A seq never exceeds the initiation budget. The 16-bit edge
+	// field needs no check of its own: a simple graph on 256 nodes has at
+	// most 32 640 edges.
+	if n > 1<<8 {
+		return nil, fmt.Errorf("check: %d nodes, at most %d fit the state hash", n, 1<<8)
+	}
+	if opt.MaxInitiations >= 1<<24 {
+		return nil, fmt.Errorf("check: initiation budget %d, must be below %d to fit the state hash", opt.MaxInitiations, 1<<24)
+	}
 	rule, err := buildRule(spec.Rule, spec.Graph)
 	if err != nil {
 		return nil, err

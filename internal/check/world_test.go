@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sparsecut/internal/dist"
+	"sparsecut/internal/graph"
 )
 
 // corpusSchedules reads the committed FuzzSchedule seed corpus.
@@ -109,5 +110,40 @@ func TestHashSeesNackRe(t *testing.T) {
 	}
 	if h[0] == h[1] {
 		t.Fatalf("a NACK answering a LOCK and one answering a PROPOSE hash alike (%#x)", h[0])
+	}
+}
+
+// TestNewWorldRejectsUnhashableSizes: msgKey packs node IDs into 8 bits and
+// seqs into 24, so a system whose messages could overflow those fields is
+// refused instead of silently aliasing distinct messages in the hash.
+func TestNewWorldRejectsUnhashableSizes(t *testing.T) {
+	ring := func(n int) Spec {
+		return Spec{Graph: graph.Cycle(n), X0: make([]float64, n), Rule: Vanilla()}
+	}
+	cases := []struct {
+		name  string
+		spec  Spec
+		inits int
+		want  string // "" means accepted
+	}{
+		{"256 nodes", ring(256), 2, ""},
+		// The densest graph that fits: its 32 640 edges fit msgKey's 16-bit
+		// edge field, which is why there is no separate edge limit.
+		{"clique of 256", Spec{Graph: graph.Complete(256), X0: make([]float64, 256), Rule: Vanilla()}, 2, ""},
+		{"257 nodes", ring(257), 2, "257 nodes"},
+		{"300 nodes", ring(300), 2, "300 nodes"},
+		{"inits just below 2^24", ring(3), 1<<24 - 1, ""},
+		{"inits 2^24", ring(3), 1 << 24, "initiation budget"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := newWorld(tc.spec, Options{MaxInitiations: tc.inits}.withDefaults())
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want mention of %q", err, tc.want)
+			}
+		})
 	}
 }
