@@ -15,7 +15,8 @@ import (
 // transition. Every transition copies into a world allocated once per DFS
 // depth and drains in one shared scratch world, so what is left is the
 // visited-state table's growth and the buffers' first growth, amortised
-// over the search. Forking a fresh world per transition costs ~2.7 KB.
+// over the search. Allocating a fresh world per transition would cost
+// ~2 KB.
 func TestExhaustiveAllocsPerTransition(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -59,8 +59,6 @@ func TestExhaustiveTrianglePinnedCounts(t *testing.T) {
 	if res.Counterexample != nil || res.Truncated {
 		t.Fatalf("counterexample %v, truncated %v", res.Counterexample, res.Truncated)
 	}
-	// Hashing a message's Re (the request it answers) split states the
-	// hash used to merge: 50767/180943/130177 before.
 	const states, transitions, deduped = 50838, 180985, 130148
 	if res.StatesExplored != states || res.Transitions != transitions || res.Deduped != deduped {
 		t.Fatalf("explored %d states, %d transitions, %d deduped; want %d, %d, %d",

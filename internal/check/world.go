@@ -69,8 +69,8 @@ type world struct {
 	// exchange attempt's LOCK went out. The no-stale-commit invariant
 	// checks every initiator apply against it — the protocol's claim is
 	// precisely that a committed delta was computed from the initiator's
-	// current value. It holds one entry per initiation, a handful, so a
-	// slice searched from the end replaces a map.
+	// current value. It holds one entry per initiation, a handful, so it
+	// is a slice, searched from the end, that copies without allocating.
 	xInit []lockValue
 
 	sum0  float64
