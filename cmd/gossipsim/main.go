@@ -75,6 +75,11 @@ func main() {
 		fmt.Print(scenario.Usage())
 		return
 	}
+	// sim.Until never fires on NaN, and a horizon <= 0 runs nothing.
+	if !(*until > 0) || math.IsInf(*until, 0) {
+		fmt.Fprintf(os.Stderr, "gossipsim: -until must be positive and finite, got %v\n", *until)
+		os.Exit(2)
+	}
 
 	n, err := parseCount(*nFlag)
 	if err != nil {

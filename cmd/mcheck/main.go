@@ -204,10 +204,18 @@ func flightDump(tr *check.Trace, path string) error {
 	return nil
 }
 
+// minNodes is the smallest -n each sized family is built for (a dumbbell
+// of n nodes has two cliques of n/2).
+var minNodes = map[string]int{"clique": 2, "path": 2, "ring": 3, "dumbbell": 4}
+
 // buildSpec assembles the checked system. Initial values follow a fixed
 // distinct-value pattern so provenance violations are visible (exchanges
 // between equal values have delta 0).
 func buildSpec(kind string, n int, ruleKind string, epochK int64) (check.Spec, error) {
+	// The generators panic below these sizes; refuse them here instead.
+	if min, ok := minNodes[kind]; ok && n < min {
+		return check.Spec{}, fmt.Errorf("graph %q needs n >= %d, got %d", kind, min, n)
+	}
 	var g *graph.Graph
 	var part *graph.Partition
 	switch kind {
@@ -228,9 +236,6 @@ func buildSpec(kind string, n int, ruleKind string, epochK int64) (check.Spec, e
 		n = g.NumNodes()
 	default:
 		return check.Spec{}, fmt.Errorf("unknown graph %q", kind)
-	}
-	if g.NumNodes() < 2 {
-		return check.Spec{}, fmt.Errorf("graph %q with n=%d has fewer than 2 nodes", kind, n)
 	}
 	x0 := make([]float64, g.NumNodes())
 	for i := range x0 {

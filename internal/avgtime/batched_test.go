@@ -253,3 +253,39 @@ func TestEstimateBatchedObserverInert(t *testing.T) {
 		t.Errorf("final observed events %d != Result.Events %d", last.Events, observed.Events)
 	}
 }
+
+// BenchmarkVanillaDumbbellPerEvent and BenchmarkBatchedTrials time whole
+// estimator runs, 15 trials on the 128-node dumbbell, through the
+// per-replica tracked loop and through the replica-batched engine. The
+// ns/event metric divides by the simulated events, so it includes each
+// trial's set-up.
+func BenchmarkVanillaDumbbellPerEvent(b *testing.B) {
+	benchEstimate(b, func(g *graph.Graph, x0 []float64, cfg Config) (Result, error) {
+		return Estimate(g, VanillaFactory(g, x0), cfg)
+	})
+}
+
+func BenchmarkBatchedTrials(b *testing.B) {
+	benchEstimate(b, func(g *graph.Graph, x0 []float64, cfg Config) (Result, error) {
+		return EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), cfg)
+	})
+}
+
+func benchEstimate(b *testing.B, estimate func(*graph.Graph, []float64, Config) (Result, error)) {
+	g, part, err := graph.Dumbbell(64, 64, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x0 := gossip.CutIndicator(part)
+	cfg := Config{Trials: 15, Seed: 1, MaxTime: 1e4}
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := estimate(g, x0, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}

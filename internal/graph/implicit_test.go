@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"sparsecut/internal/rng"
@@ -294,23 +295,23 @@ func TestMillionNodeImplicit(t *testing.T) {
 	if ig.NumEdges() != want {
 		t.Fatalf("NumEdges = %d, want %d", ig.NumEdges(), want)
 	}
-	// Round-trip a spread of edge ids through EdgeAt/Neighbor.
+	// Round-trip a spread of edge ids through EdgeAt/Neighbor. Neighbor
+	// lists peers in ascending order, so v is found by binary search.
 	r := rng.New(3)
 	for i := 0; i < 1000; i++ {
 		id := int64(r.Intn(int(ig.NumEdges())))
 		u, v := ig.EdgeAt(id)
-		found := false
-		for k := 0; k < ig.Degree(u); k++ {
-			if p, e := ig.Neighbor(u, k); p == v {
-				if e != id {
-					t.Fatalf("edge id mismatch at (%d,%d): %d != %d", u, v, e, id)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		deg := ig.Degree(u)
+		k := sort.Search(deg, func(k int) bool { p, _ := ig.Neighbor(u, k); return p >= v })
+		if k == deg {
 			t.Fatalf("EdgeAt(%d) = (%d,%d) but v not a neighbor of u", id, u, v)
+		}
+		p, e := ig.Neighbor(u, k)
+		if p != v {
+			t.Fatalf("EdgeAt(%d) = (%d,%d) but v not a neighbor of u", id, u, v)
+		}
+		if e != id {
+			t.Fatalf("edge id mismatch at (%d,%d): %d != %d", u, v, e, id)
 		}
 	}
 	// The cut node's degree: clique (499999) + its cross edge.

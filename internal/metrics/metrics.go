@@ -4,7 +4,7 @@
 // them and exports deterministic JSON snapshots.
 //
 // The package is engineered around one constraint: instrumentation must be
-// mergeable into the hot paths without moving the bench-regression gates.
+// mergeable into the hot paths without moving the performance gate.
 // Every instrument is therefore nil-safe — methods on a nil *Counter,
 // *Gauge or *Histogram are no-ops — and a nil *Registry hands out nil
 // instruments, so "disabled" call sites compile to a method call whose
